@@ -1,17 +1,20 @@
 //! Gang inner-loop throughput: the compiled event-stream walk against
-//! the raw-record reference walk, over the same lanes and trace.
+//! the per-config engine (each lane alone through
+//! [`tlat_sim::simulate_with`] over the record trace), over the same
+//! lanes and trace.
 //!
-//! This isolates the tentpole win of the stream compiler — site-interned
-//! SoA events plus per-site resolved table coordinates — from the sweep
-//! bench's other effects (trace generation, training, the worker pool).
-//! The compiled walk is timed over a stream compiled once up front,
-//! matching the harness (which memoizes one [`CompiledTrace`] per
-//! workload); the once-per-workload compile cost is reported separately
-//! as `stream_compile`. Run with `cargo bench --bench gang_inner`;
-//! seven BENCHJSON lines are emitted (`inner_record_walk`,
-//! `inner_compiled_walk`, `stream_compile`, `inner_bitsliced_record`,
-//! `inner_bitsliced_walk`, `inner_at_pack_record`,
-//! `inner_at_pack_walk`) plus derived speedup lines. The bitsliced
+//! This isolates the gang walk — site-interned SoA events plus
+//! per-site resolved table coordinates, shared probes and packs — from
+//! the sweep bench's other effects (trace generation, training, the
+//! worker pool). The compiled walk is timed over a stream compiled once
+//! up front, matching the harness (which memoizes one
+//! [`tlat_trace::CompiledTrace`] per workload); the once-per-workload
+//! compile cost is reported separately as `stream_compile`. Run with
+//! `cargo bench --bench gang_inner`; seven BENCHJSON lines are emitted
+//! (`inner_solo_engine`, `inner_compiled_walk`, `stream_compile`,
+//! `inner_bitsliced_solo`, `inner_bitsliced_walk`,
+//! `inner_at_pack_solo`, `inner_at_pack_walk`) plus derived speedup
+//! lines, each an in-run ratio of a walk to its solo baseline. The bitsliced
 //! pair measures an all-Lee-&-Smith lane set that the gang engine
 //! packs into one two-plane [`tlat_core::LanePack`]; the AT-pack pair
 //! measures a fig10-shaped variant × history-length Two-Level grid
@@ -21,9 +24,33 @@
 
 use tlat_bench::runner::Runner;
 use tlat_core::{AutomatonKind, HrtConfig};
-use tlat_sim::gang::{gang_simulate_precompiled, gang_simulate_records, GangLane};
-use tlat_sim::{SchemeConfig, SimOptions};
+use tlat_sim::gang::{gang_simulate_compiled, GangLane};
+use tlat_sim::{simulate_with, SchemeConfig, SimOptions};
+use tlat_trace::{CompiledTrace, Trace};
 use tlat_workloads::SyntheticStream;
+
+/// The per-config baseline: every configuration alone through the
+/// reference engine, one record walk each.
+fn solo_walks(configs: &[SchemeConfig], trace: &Trace) -> usize {
+    configs
+        .iter()
+        .map(|c| {
+            let mut predictor = c.build(Some(trace));
+            simulate_with(predictor.as_mut(), trace, SimOptions::default())
+                .conditional
+                .predicted as usize
+        })
+        .sum()
+}
+
+/// One gang walk of `configs` over the precompiled `stream`.
+fn gang_walk(configs: &[SchemeConfig], trace: &Trace, stream: &CompiledTrace) -> usize {
+    let mut lanes: Vec<GangLane> = configs
+        .iter()
+        .map(|c| GangLane::from_config(c, Some(trace)))
+        .collect();
+    gang_simulate_compiled(&mut lanes, stream, None, SimOptions::default()).len()
+}
 
 fn main() {
     let branches: u64 = if tlat_bench::is_test_pass() {
@@ -34,47 +61,36 @@ fn main() {
     println!("[gang_inner] walking {branches} synthetic branches per iteration");
     let trace = SyntheticStream::mixed(0x9a1, 512).generate(branches);
 
-    // The Figure 10 monomorphized lanes: the walk is all fast-path, so
-    // the two engines differ only in how the stream reaches them.
+    // The Figure 10 monomorphized lanes: the walk is all fast-path.
     let configs = vec![
         SchemeConfig::at(HrtConfig::ahrt(512), 12, AutomatonKind::A2),
         SchemeConfig::ls(HrtConfig::ahrt(512), AutomatonKind::A2),
         SchemeConfig::ls(HrtConfig::ahrt(512), AutomatonKind::LastTime),
         SchemeConfig::at(HrtConfig::hhrt(512), 12, AutomatonKind::A2),
     ];
-    let lanes = || -> Vec<GangLane> {
-        configs
-            .iter()
-            .map(|c| GangLane::from_config(c, Some(&trace)))
-            .collect()
-    };
     let events = trace.conditional_len() as u64 * configs.len() as u64;
 
     let mut group = Runner::new("gang_inner");
     group.plan(1, 7);
-    let records = group.throughput(events).bench("inner_record_walk", || {
-        let mut lanes = lanes();
-        gang_simulate_records(&mut lanes, &trace, SimOptions::default()).len()
-    });
-    let stream = tlat_trace::CompiledTrace::compile(&trace);
+    let solo = group
+        .throughput(events)
+        .bench("inner_solo_engine", || solo_walks(&configs, &trace));
+    let stream = CompiledTrace::compile(&trace);
     group.plan(1, 7);
     let compiled = group.throughput(events).bench("inner_compiled_walk", || {
-        let mut lanes = lanes();
-        gang_simulate_precompiled(&mut lanes, &trace, &stream, SimOptions::default()).len()
+        gang_walk(&configs, &trace, &stream)
     });
     // The once-per-workload compile cost on its own (per conditional,
     // not per lane-event), so regressions in interning show up directly.
     group.plan(1, 7);
     group
         .throughput(trace.conditional_len())
-        .bench("stream_compile", || {
-            tlat_trace::CompiledTrace::compile(&trace).len()
-        });
+        .bench("stream_compile", || CompiledTrace::compile(&trace).len());
 
     if compiled.median_ns > 0.0 {
         println!(
-            "[gang_inner] compiled stream vs record stream: {:.2}x",
-            records.median_ns / compiled.median_ns
+            "[gang_inner] compiled gang walk vs per-config engine: {:.2}x",
+            solo.median_ns / compiled.median_ns
         );
     }
 
@@ -86,31 +102,21 @@ fn main() {
         .iter()
         .map(|&a| SchemeConfig::ls(HrtConfig::ahrt(512), a))
         .collect();
-    let bs_lanes = || -> Vec<GangLane> {
-        bs_configs
-            .iter()
-            .map(|c| GangLane::from_config(c, Some(&trace)))
-            .collect()
-    };
     let bs_events = trace.conditional_len() as u64 * bs_configs.len() as u64;
     group.plan(1, 7);
-    let bs_records = group
+    let bs_solo = group
         .throughput(bs_events)
-        .bench("inner_bitsliced_record", || {
-            let mut lanes = bs_lanes();
-            gang_simulate_records(&mut lanes, &trace, SimOptions::default()).len()
-        });
+        .bench("inner_bitsliced_solo", || solo_walks(&bs_configs, &trace));
     group.plan(1, 7);
     let bitsliced = group
         .throughput(bs_events)
         .bench("inner_bitsliced_walk", || {
-            let mut lanes = bs_lanes();
-            gang_simulate_precompiled(&mut lanes, &trace, &stream, SimOptions::default()).len()
+            gang_walk(&bs_configs, &trace, &stream)
         });
     if bitsliced.median_ns > 0.0 {
         println!(
-            "[gang_inner] bitsliced pack vs record stream: {:.2}x",
-            bs_records.median_ns / bitsliced.median_ns
+            "[gang_inner] bitsliced pack vs per-config engine: {:.2}x",
+            bs_solo.median_ns / bitsliced.median_ns
         );
     }
 
@@ -127,29 +133,19 @@ fn main() {
                 .map(move |bits| SchemeConfig::at(HrtConfig::ahrt(512), bits, a))
         })
         .collect();
-    let at_lanes = || -> Vec<GangLane> {
-        at_configs
-            .iter()
-            .map(|c| GangLane::from_config(c, Some(&trace)))
-            .collect()
-    };
     let at_events = trace.conditional_len() as u64 * at_configs.len() as u64;
     group.plan(1, 7);
-    let at_records = group
+    let at_solo = group
         .throughput(at_events)
-        .bench("inner_at_pack_record", || {
-            let mut lanes = at_lanes();
-            gang_simulate_records(&mut lanes, &trace, SimOptions::default()).len()
-        });
+        .bench("inner_at_pack_solo", || solo_walks(&at_configs, &trace));
     group.plan(1, 7);
     let at_packed = group.throughput(at_events).bench("inner_at_pack_walk", || {
-        let mut lanes = at_lanes();
-        gang_simulate_precompiled(&mut lanes, &trace, &stream, SimOptions::default()).len()
+        gang_walk(&at_configs, &trace, &stream)
     });
     if at_packed.median_ns > 0.0 {
         println!(
-            "[gang_inner] AT pack vs record stream: {:.2}x",
-            at_records.median_ns / at_packed.median_ns
+            "[gang_inner] AT pack vs per-config engine: {:.2}x",
+            at_solo.median_ns / at_packed.median_ns
         );
     }
 }

@@ -1,10 +1,10 @@
-//! Micro-benchmarks: workload trace-generation (interpreter)
-//! throughput and trace serialization, on the in-repo runner.
+//! Micro-benchmark: workload trace-generation (interpreter)
+//! throughput, on the in-repo runner. Trace serialization is measured
+//! by the `trace_io` bench.
 //!
 //! Run with `cargo bench --bench trace_gen`.
 
 use tlat_bench::runner::Runner;
-use tlat_trace::codec;
 use tlat_workloads::by_name;
 
 fn main() {
@@ -21,17 +21,4 @@ fn main() {
             .throughput(budget)
             .bench(name, || tlat_workloads::run_trace(&loaded, budget).unwrap());
     }
-
-    let workload = by_name("espresso").unwrap();
-    let trace = workload
-        .trace_test(if smoke { 5_000 } else { 50_000 })
-        .unwrap();
-    let encoded = codec::encode(&trace);
-    let mut group = Runner::new("codec");
-    group
-        .throughput(encoded.len() as u64)
-        .bench("encode", || codec::encode(&trace));
-    group
-        .throughput(encoded.len() as u64)
-        .bench("decode", || codec::decode(&encoded).unwrap());
 }

@@ -59,6 +59,7 @@
 use std::process::ExitCode;
 use std::time::Duration;
 use tlat_sim::{table2, Harness, PipelineModel};
+use tlat_trace::codec::DecodeError;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -86,7 +87,7 @@ fn usage() -> ExitCode {
          \u{20}  diagnose <bench> [i]  worst sites for a scheme\n\
          \u{20}  taxonomy          GAg/GAs/PAg/PAs extension comparison\n\
          \u{20}  cost              pipeline CPI under the flush model\n\
-         \u{20}  dump <bench> <file>  write a trace in codec format\n\
+         \u{20}  dump <bench> <file>  write a trace in the TLA3 format\n\
          \u{20}  simulate <file> [i]  run a config over a trace file\n\
          \u{20}  warmup <bench> [i]   windowed accuracy curve\n\
          \u{20}  report            full experiment log as markdown\n\
@@ -512,21 +513,7 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            // Binary formats start with a TLA* magic (TLA1/TLA2
-            // records, TLA3 packets — `codec::decode` dispatches);
-            // anything else is tried as the text format.
-            let trace = if bytes.starts_with(b"TLA") {
-                tlat_trace::codec::decode(&bytes)
-            } else {
-                match std::str::from_utf8(&bytes) {
-                    Ok(text) => tlat_trace::codec::decode_text(text),
-                    Err(_) => {
-                        eprintln!("{path} is neither a binary nor a text trace");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            };
-            let trace = match trace {
+            let trace = match decode_trace_file(&bytes) {
                 Ok(t) => t,
                 Err(e) => {
                     eprintln!("cannot decode {path}: {e}");
@@ -598,8 +585,10 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             };
             let trace = harness.store().test(&workload);
-            let bytes = tlat_trace::codec::encode(&trace);
-            if let Err(e) = std::fs::write(path, &bytes) {
+            let bytes = tlat_trace::packet::encode(&trace);
+            if let Err(e) =
+                tlat_trace::codec::write_bytes_atomic(std::path::Path::new(path), &bytes)
+            {
                 eprintln!("cannot write {path}: {e}");
                 return ExitCode::FAILURE;
             }
@@ -615,4 +604,42 @@ fn main() -> ExitCode {
     // has been printed — stdout is never touched.
     tlat_sim::metrics::emit_from_env();
     ExitCode::SUCCESS
+}
+
+/// Decodes a `tlat simulate` input: a binary trace starts with a
+/// `TLA*` magic and decodes as TLA3 (any other version, such as the
+/// retired TLA1/TLA2 record formats, is a bad magic); anything else is
+/// tried as the text format.
+fn decode_trace_file(bytes: &[u8]) -> Result<tlat_trace::Trace, DecodeError> {
+    if bytes.starts_with(b"TLA") {
+        return tlat_trace::packet::decode(bytes);
+    }
+    let text = std::str::from_utf8(bytes).map_err(|_| DecodeError::BadMagic)?;
+    tlat_trace::codec::decode_text(text)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tlat_trace::{BranchRecord, Trace};
+
+    #[test]
+    fn trace_files_decode_as_tla3_or_text() {
+        let mut t = Trace::new();
+        t.push(BranchRecord::conditional(0x40, 0x10, true));
+        let bytes = tlat_trace::packet::encode(&t);
+        assert_eq!(decode_trace_file(&bytes), Ok(t.clone()));
+        let text = tlat_trace::codec::encode_text(&t);
+        assert_eq!(decode_trace_file(text.as_bytes()), Ok(t));
+        assert_eq!(decode_trace_file(&[0xff, 0xfe]), Err(DecodeError::BadMagic));
+    }
+
+    #[test]
+    fn retired_binary_formats_are_a_bad_magic() {
+        for magic in [b"TLA1", b"TLA2"] {
+            let mut bytes = magic.to_vec();
+            bytes.resize(100, 0);
+            assert_eq!(decode_trace_file(&bytes), Err(DecodeError::BadMagic));
+        }
+    }
 }

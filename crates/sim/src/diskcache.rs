@@ -9,10 +9,9 @@
 //! [`DiskCache::load_compiled`], can stream an entry straight into a
 //! [`CompiledTrace`] without materializing the per-branch records.
 //!
-//! Entries written by older builds in the TLA2 record format are still
-//! honoured: a miss on the `.tlat` name falls back to the legacy
-//! `.tla2` name, and a legacy hit is migrated in place (re-encoded as
-//! TLA3 under the new name, old file removed).
+//! Entries in any other format (such as the retired TLA2 `.tla2`
+//! files) are never read: they live under other file names, and
+//! entries are regenerable, so a cache miss is the right answer.
 //!
 //! Cache entries live under `target/tlat-cache/` by default, or the
 //! directory named by the `TLAT_TRACE_CACHE` environment variable
@@ -49,7 +48,7 @@ use crate::metrics::{self, Counter, Phase};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use tlat_trace::{codec, CompiledTrace, Trace};
+use tlat_trace::{codec, packet, CompiledTrace, Trace};
 use tlat_workloads::DataSet;
 
 /// Environment variable naming the cache directory (or disabling the
@@ -101,18 +100,6 @@ impl TraceKey<'_> {
     pub fn file_name(&self) -> String {
         format!(
             "{}-{}-{:016x}.tlat",
-            self.workload,
-            self.role,
-            self.fingerprint()
-        )
-    }
-
-    /// The file name older builds used for the same key (TLA2 record
-    /// format). Only consulted as a fallback when the `.tlat` entry is
-    /// absent; a hit there is migrated to [`file_name`](Self::file_name).
-    pub fn legacy_file_name(&self) -> String {
-        format!(
-            "{}-{}-{:016x}.tla2",
             self.workload,
             self.role,
             self.fingerprint()
@@ -209,11 +196,6 @@ impl DiskCache {
         self.root.join(key.file_name())
     }
 
-    /// The on-disk path older builds used for the same key (TLA2).
-    pub fn legacy_path_for(&self, key: &TraceKey<'_>) -> PathBuf {
-        self.root.join(key.legacy_file_name())
-    }
-
     /// Reads and decodes the entry at `path` once, without recovery.
     /// This is the typed primitive the recovery loop builds its
     /// retry/evict policy on. A successful decode counts the file's
@@ -304,17 +286,12 @@ impl DiskCache {
         }
     }
 
-    /// The shared load path: primary `.tlat` entry first, then the
-    /// legacy `.tla2` fallback. A legacy hit is migrated — re-encoded
-    /// as TLA3 under the primary name, old file removed — before
-    /// `from_legacy` shapes the decoded records into the caller's
-    /// type. Exactly one of `CacheHits`/`CacheMisses` is bumped per
-    /// call.
+    /// The shared load path. Exactly one of `CacheHits`/`CacheMisses`
+    /// is bumped per call.
     fn load_with<T>(
         &self,
         key: &TraceKey<'_>,
         decode: fn(&[u8]) -> Result<T, codec::DecodeError>,
-        from_legacy: impl FnOnce(Trace) -> T,
     ) -> Option<T> {
         let _span = metrics::span(Phase::CacheLoad);
         let path = self.path_for(key);
@@ -325,31 +302,7 @@ impl DiskCache {
         match self.read_with_recovery(&path, injected, decode) {
             ReadOutcome::Hit(decoded) => {
                 metrics::bump(Counter::CacheHits);
-                return Some(decoded);
-            }
-            ReadOutcome::Gone => {
-                metrics::bump(Counter::CacheMisses);
-                return None;
-            }
-            ReadOutcome::Cold => {}
-        }
-        // The entry may predate the packet format: fall back to the
-        // legacy name (no fault injection there — the plan already
-        // fired on the primary read above).
-        let legacy = self.legacy_path_for(key);
-        match self.read_with_recovery(&legacy, None, codec::decode) {
-            ReadOutcome::Hit(trace) => {
-                metrics::bump(Counter::CacheHits);
-                self.store(key, &trace);
-                if let Err(unlink) = std::fs::remove_file(&legacy) {
-                    if unlink.kind() != std::io::ErrorKind::NotFound {
-                        eprintln!(
-                            "warning: cannot remove migrated cache entry {}: {unlink}",
-                            legacy.display()
-                        );
-                    }
-                }
-                Some(from_legacy(trace))
+                Some(decoded)
             }
             ReadOutcome::Cold | ReadOutcome::Gone => {
                 metrics::bump(Counter::CacheMisses);
@@ -365,19 +318,16 @@ impl DiskCache {
     /// (corrupt, truncated, wrong magic) is reported on stderr,
     /// evicted, and treated as a miss so the caller regenerates it.
     pub fn load(&self, key: &TraceKey<'_>) -> Option<Trace> {
-        self.load_with(key, codec::decode, |trace| trace)
+        self.load_with(key, packet::decode)
     }
 
     /// Loads the entry for `key` decoded straight into a
     /// [`CompiledTrace`] — the packet stream's site table and branch
     /// maps are consumed in place, so the per-branch record vector is
     /// never materialized. Recovery policy and counters match
-    /// [`load`](Self::load); a legacy TLA2 hit decodes as records,
-    /// migrates, and compiles.
+    /// [`load`](Self::load).
     pub fn load_compiled(&self, key: &TraceKey<'_>) -> Option<CompiledTrace> {
-        self.load_with(key, codec::decode_compiled, |trace| {
-            CompiledTrace::compile(&trace)
-        })
+        self.load_with(key, packet::decode_compiled)
     }
 
     /// Stores `trace` under `key`. Best-effort: an I/O failure is
@@ -390,7 +340,7 @@ impl DiskCache {
             return; // cache writing already shut off for this process
         }
         let path = self.path_for(key);
-        let bytes = codec::encode_v3(trace);
+        let bytes = packet::encode(trace);
         let write = std::fs::create_dir_all(&self.root)
             .and_then(|()| codec::write_bytes_atomic(&path, &bytes));
         match write {
@@ -468,31 +418,30 @@ mod tests {
         cache.store(&k, &trace);
         let bytes = std::fs::read(cache.path_for(&k)).unwrap();
         assert!(bytes.starts_with(b"TLA3"), "store must write TLA3");
-        assert_eq!(bytes, codec::encode_v3(&trace));
+        assert_eq!(bytes, packet::encode(&trace));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn legacy_tla2_entries_hit_and_migrate() {
-        let dir = scratch_dir("migrate");
+    fn entries_in_another_format_are_never_read() {
+        // A retired TLA2 file under the old `.tla2` name is a cold
+        // miss, and left alone; TLA2 bytes under the current name are
+        // an invalid entry, evicted like any corrupt file.
+        let dir = scratch_dir("retired");
         let cache = DiskCache::new(&dir);
         let input = DataSet::new("unit", 9, 2);
-        let trace = SyntheticStream::mixed(0x123, 16).generate(400);
         let k = key(&input, 400);
-        // Seed the entry the way an older build would have written it:
-        // TLA2 record bytes under the `.tla2` name.
         std::fs::create_dir_all(&dir).unwrap();
-        let legacy = cache.legacy_path_for(&k);
-        std::fs::write(&legacy, codec::encode(&trace)).unwrap();
-        assert_eq!(cache.load(&k).unwrap(), trace, "legacy entry must hit");
-        assert!(!legacy.exists(), "legacy entry must be removed after migration");
-        let migrated = std::fs::read(cache.path_for(&k)).unwrap();
-        assert!(
-            migrated.starts_with(b"TLA3"),
-            "a legacy hit must re-encode as TLA3 under the new name"
-        );
-        // The migrated entry then serves directly.
-        assert_eq!(cache.load(&k).unwrap(), trace);
+        let mut tla2 = b"TLA2".to_vec();
+        tla2.resize(100, 0);
+        let old_name = dir.join(k.file_name().replace(".tlat", ".tla2"));
+        std::fs::write(&old_name, &tla2).unwrap();
+        assert!(cache.load(&k).is_none());
+        assert!(cache.load_compiled(&k).is_none());
+        assert!(old_name.exists());
+        std::fs::write(cache.path_for(&k), &tla2).unwrap();
+        assert!(cache.load_compiled(&k).is_none());
+        assert!(!cache.path_for(&k).exists(), "an invalid entry is evicted");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -508,28 +457,6 @@ mod tests {
         assert_eq!(
             cache.load_compiled(&k).unwrap(),
             CompiledTrace::compile(&trace)
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn compiled_loads_migrate_legacy_entries_too() {
-        let dir = scratch_dir("compiled-migrate");
-        let cache = DiskCache::new(&dir);
-        let input = DataSet::new("unit", 6, 2);
-        let trace = SyntheticStream::mixed(0xfade, 8).generate(350);
-        let k = key(&input, 350);
-        std::fs::create_dir_all(&dir).unwrap();
-        let legacy = cache.legacy_path_for(&k);
-        std::fs::write(&legacy, codec::encode(&trace)).unwrap();
-        assert_eq!(
-            cache.load_compiled(&k).unwrap(),
-            CompiledTrace::compile(&trace)
-        );
-        assert!(!legacy.exists());
-        assert!(
-            std::fs::read(cache.path_for(&k)).unwrap().starts_with(b"TLA3"),
-            "legacy compiled hit must migrate the entry"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

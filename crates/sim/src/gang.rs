@@ -1,11 +1,12 @@
-//! Single-pass gang simulation: one trace walk feeding many predictors.
+//! Single-pass gang simulation: one stream walk feeding many predictors.
 //!
 //! `engine::simulate` walks the branch stream once per configuration,
 //! so an N-configuration sweep pays N full memory-bandwidth passes over
 //! the same trace plus a dyn-dispatched call per branch. Sweeps are the
 //! harness's hot path (every table/figure is one), and predictors never
-//! interact — so the gang engine walks the trace *once*, feeding every
-//! configuration's predictor in turn from the same hot `BranchRecord`.
+//! interact — so the gang engine walks one compiled event stream
+//! ([`CompiledTrace`]) *once*, feeding every configuration's predictor
+//! in turn from the same hot event.
 //!
 //! Five further savings fall out:
 //!
@@ -14,14 +15,14 @@
 //!   [`ProfilePredictor`]) run as concrete enum variants of
 //!   [`GangLane`], so their per-branch predict/update is a direct
 //!   (inlinable) call; everything else takes the boxed dyn fallback
-//!   lane.
-//! * **Stream compilation** — when monomorphized lanes are present,
-//!   the trace is lowered once per walk into a site-interned SoA event
-//!   stream ([`CompiledTrace`]) and every lane's table coordinates are
-//!   resolved per static site up front ([`SiteResolver`]), so the hot
-//!   loop does no per-branch set/tag/hash arithmetic and touches ~5
-//!   bytes per event instead of a 16-byte record (see DESIGN.md's
-//!   "Hot-loop anatomy").
+//!   lane, fed the stream's rebuilt conditional records
+//!   ([`CompiledTrace::conditional_records`]).
+//! * **Stream compilation** — the walk reads a site-interned SoA event
+//!   stream ([`CompiledTrace`], compiled or decoded once per workload)
+//!   and every lane's table coordinates are resolved per static site up
+//!   front ([`SiteResolver`]), so the hot loop does no per-branch
+//!   set/tag/hash arithmetic and touches ~5 bytes per event instead of
+//!   a 16-byte record (see DESIGN.md's "Hot-loop anatomy").
 //! * **Shared probe engines** — associative lanes with the same table
 //!   geometry see identical tag/LRU decision sequences, so one
 //!   payload-free [`SlotProbe`] per geometry (built only when two or
@@ -75,9 +76,7 @@ use tlat_core::{
     ProbeOutcome, ProfilePredictor, SiteKeys, SiteResolver, SlotProbe, StaticTraining,
     StaticTrainingConfig, TwoLevelAdaptive,
 };
-use tlat_trace::{
-    BranchClass, BranchRecord, CompiledTrace, RasEvent, ReturnAddressStack, SiteId, Trace,
-};
+use tlat_trace::{CompiledTrace, RasEvent, ReturnAddressStack, SiteId, Trace};
 
 /// One predictor riding a gang walk.
 ///
@@ -151,20 +150,6 @@ impl GangLane {
         }
     }
 
-    /// One fused predict → resolve → train cycle (see
-    /// [`Predictor::predict_update`]); the inner-loop call of the gang
-    /// walk.
-    #[inline]
-    fn predict_update(&mut self, branch: &BranchRecord) -> bool {
-        match self {
-            GangLane::TwoLevel(p) => p.predict_update(branch),
-            GangLane::LeeSmith(p) => p.predict_update(branch),
-            GangLane::StaticTraining(p) => p.predict_update(branch),
-            GangLane::Profile(p) => p.predict_update(branch),
-            GangLane::Dyn(p) => p.predict_update(branch),
-        }
-    }
-
     /// The lane's history-table organization, for monomorphized lanes
     /// that probe one (`None` for Profile and dyn lanes). Lanes sharing
     /// an associative organization share a [`SlotProbe`] during a
@@ -177,12 +162,6 @@ impl GangLane {
             GangLane::Profile(_) | GangLane::Dyn(_) => None,
         }
     }
-}
-
-/// Simulates every lane over `trace` in a single walk, with default
-/// options. Returns one [`SimResult`] per lane, in lane order.
-pub fn gang_simulate(lanes: &mut [GangLane], trace: &Trace) -> Vec<SimResult> {
-    gang_simulate_with(lanes, trace, SimOptions::default())
 }
 
 /// Lanes per bitsliced pack: one bit of each `u64` plane.
@@ -387,84 +366,28 @@ fn replay_slot_log<P: RunPack>(planes: &mut P, log: &[u32], compiled: &CompiledT
     }
 }
 
-/// Simulates every lane over `trace` in a single walk.
+/// Simulates every lane over `compiled` in a single walk. Returns one
+/// [`SimResult`] per lane, in lane order.
 ///
-/// Each conditional branch runs the predict → score → update cycle for
-/// every lane before the walk advances; returns and calls drive one
-/// shared return-address stack whose stats are replicated into every
-/// result (RAS behaviour is predictor-independent).
+/// Each conditional event runs the predict → score → update cycle for
+/// every lane; the stream's RAS events drive one shared
+/// return-address stack whose stats are replicated into every result
+/// (RAS behaviour is predictor-independent). Monomorphized lanes read
+/// the `(site, taken)` stream with site-resolved table coordinates
+/// ([`TwoLevelAdaptive::predict_update_site`],
+/// [`LeeSmithBtb::predict_update_site`]); dyn lanes read the stream's
+/// rebuilt conditional records. Results are bit-identical to running
+/// each lane alone through [`crate::simulate_with`] over the trace the
+/// stream was compiled from (pinned by tests).
 ///
-/// When any monomorphized lane is present the walk runs over a
-/// *compiled* event stream: the trace is lowered once per walk into
-/// site-interned SoA form ([`CompiledTrace`]), every [`SiteId`]'s table
-/// coordinates are resolved once per geometry ([`SiteResolver`]), and
-/// the hot loop feeds lanes through
-/// [`TwoLevelAdaptive::predict_update_site`] /
-/// [`LeeSmithBtb::predict_update_site`] — no per-branch set/tag/hash
-/// arithmetic, 5 bytes of stream per event instead of a 16-byte
-/// record. Dyn lanes still consume raw records. Results are
-/// bit-identical to [`gang_simulate_records`], which is pinned by
-/// tests and kept as the reference walk.
-///
-/// [`SiteId`]: tlat_trace::SiteId
-pub fn gang_simulate_with(
-    lanes: &mut [GangLane],
-    trace: &Trace,
-    options: SimOptions,
-) -> Vec<SimResult> {
-    let any_compiled = lanes
-        .iter()
-        .any(|lane| !matches!(lane, GangLane::Dyn(_)));
-    if !any_compiled {
-        return gang_simulate_records(lanes, trace, options);
-    }
-    let compiled = {
-        let _span = metrics::span(Phase::StreamCompile);
-        CompiledTrace::compile(trace)
-    };
-    metrics::add(Counter::SitesInterned, compiled.num_sites() as u64);
-    gang_simulate_precompiled(lanes, trace, &compiled, options)
-}
-
-/// [`gang_simulate_with`] over an already-compiled event stream.
-///
-/// `compiled` must be the compilation of `trace` (the harness memoizes
-/// one per workload, so repeated sweeps over the same workload skip the
-/// compile pass entirely). Dyn-only gangs still take the record walk.
-pub fn gang_simulate_precompiled(
-    lanes: &mut [GangLane],
-    trace: &Trace,
-    compiled: &CompiledTrace,
-    options: SimOptions,
-) -> Vec<SimResult> {
-    gang_simulate_compiled(lanes, compiled, Some(trace), options)
-}
-
-/// The compiled-stream gang walk proper: every monomorphized lane is
-/// fed from `compiled` alone. `dyn_source` supplies the raw record
-/// stream for dyn lanes (and dyn-only gangs); the streaming sweep path
-/// — where a TLA3 cache entry was decoded straight into `compiled` and
-/// the records were never materialized — passes `None`, which is valid
-/// exactly when every lane is monomorphized.
-///
-/// # Panics
-///
-/// Panics if a [`GangLane::Dyn`] lane is present and `dyn_source` is
-/// `None` (callers gate on lane kinds before taking the record-free
-/// path).
+/// `dyn_source` is not read: every lane kind, dyn included, is fed from
+/// `compiled`. The argument remains so existing callers keep compiling.
 pub fn gang_simulate_compiled(
     lanes: &mut [GangLane],
     compiled: &CompiledTrace,
-    dyn_source: Option<&Trace>,
+    _dyn_source: Option<&Trace>,
     options: SimOptions,
 ) -> Vec<SimResult> {
-    let any_compiled = lanes
-        .iter()
-        .any(|lane| !matches!(lane, GangLane::Dyn(_)));
-    if !any_compiled {
-        let trace = dyn_source.expect("a dyn-only gang needs the record stream");
-        return gang_simulate_records(lanes, trace, options);
-    }
     metrics::bump(Counter::TraceWalks);
     let mut resolver = SiteResolver::new(compiled.site_pcs().to_vec());
     let _span = metrics::span(Phase::GangWalk);
@@ -933,17 +856,14 @@ pub fn gang_simulate_compiled(
             stat.correct += if bit { taken_n } else { n - taken_n };
         }
     }
-    // Dyn lanes take the record stream they have always seen; a lane
-    // observes only its own predict/update sequence, so feeding them in
-    // a second pass changes nothing for any lane.
+    // Dyn lanes read the conditional records rebuilt from the stream
+    // (pc, exact target, outcome); a lane observes only its own
+    // predict/update sequence, so feeding them in a second pass
+    // changes nothing for any lane.
     if !dyn_lanes.is_empty() {
-        let trace = dyn_source.expect("dyn lanes need the record stream");
-        for branch in trace.iter() {
-            if !matches!(branch.class, BranchClass::Conditional) {
-                continue;
-            }
+        for branch in compiled.conditional_records() {
             for (p, stat) in &mut dyn_lanes {
-                stat.record(p.predict_update(branch) == branch.taken);
+                stat.record(p.predict_update(&branch) == branch.taken);
             }
         }
     }
@@ -965,44 +885,6 @@ pub fn gang_simulate_compiled(
         .collect()
 }
 
-/// The reference gang walk: every lane — monomorphized or dyn — is fed
-/// straight from the raw [`BranchRecord`] stream, with no compile
-/// step. [`gang_simulate_with`] must stay bit-identical to this
-/// function (pinned by tests); the `gang_inner` micro-benchmark
-/// measures the two walks against each other.
-pub fn gang_simulate_records(
-    lanes: &mut [GangLane],
-    trace: &Trace,
-    options: SimOptions,
-) -> Vec<SimResult> {
-    metrics::bump(Counter::TraceWalks);
-    let _span = metrics::span(Phase::GangWalk);
-    let mut stats = vec![PredictionStats::default(); lanes.len()];
-    let mut ras = ReturnAddressStack::new(options.ras_entries.max(1));
-    for branch in trace.iter() {
-        match branch.class {
-            BranchClass::Conditional => {
-                for (lane, stat) in lanes.iter_mut().zip(stats.iter_mut()) {
-                    let guess = lane.predict_update(branch);
-                    stat.record(guess == branch.taken);
-                }
-            }
-            BranchClass::Return => {
-                ras.predict_and_verify(branch.target);
-            }
-            _ => {}
-        }
-        if branch.call {
-            ras.push(branch.fall_through());
-        }
-    }
-    let ras = ras.stats();
-    stats
-        .into_iter()
-        .map(|conditional| SimResult { conditional, ras })
-        .collect()
-}
-
 /// The outcome of one lane of an isolated gang walk.
 ///
 /// `None` = the lane was not applicable (the builder returned `None`,
@@ -1011,56 +893,25 @@ pub fn gang_simulate_records(
 /// was contained.
 pub type IsolatedLane = Option<Result<SimResult, CellPanic>>;
 
-/// [`gang_simulate`] with per-lane panic isolation.
+/// [`gang_simulate_compiled`] with per-lane panic isolation: the
+/// sweep drivers' one gang entry point.
 ///
 /// `build(i)` constructs lane `i` (or `None` when the configuration is
-/// not applicable to this trace — the paper's Table 3 exclusions); it
-/// must be pure, because it is called again if the walk has to be
-/// retried. The fast path is one shared walk, exactly as
-/// [`gang_simulate`]. If any lane panics — during build or mid-walk —
-/// the panic is caught and only the offending lane fails:
+/// not applicable to this workload — the paper's Table 3 exclusions);
+/// it must be pure, because it is called again if the walk has to be
+/// retried. The fast path is one shared walk over `compiled`. If any
+/// lane panics — during build or mid-walk — the panic is caught and
+/// only the offending lane fails:
 ///
 /// * a panic at *build* time fails that lane alone; the others proceed
 ///   with the shared walk;
 /// * a panic *mid-walk* poisons the shared pass (lanes are part-way
-///   through the trace), so every built lane is re-run solo under its
+///   through the stream), so every built lane is re-run solo under its
 ///   own `catch_unwind` — predictors are deterministic, so surviving
 ///   lanes reproduce their shared-walk results bit-for-bit (the
 ///   identity `gang == solo` is pinned by tests), and the panicking
 ///   lane fails again, deterministically, in isolation.
-pub fn gang_simulate_isolated<F>(n_lanes: usize, build: F, trace: &Trace) -> Vec<IsolatedLane>
-where
-    F: Fn(usize) -> Option<GangLane>,
-{
-    gang_simulate_isolated_precompiled(n_lanes, build, trace, None)
-}
-
-/// [`gang_simulate_isolated`] with an optional pre-compiled event
-/// stream for `trace` (see [`gang_simulate_precompiled`]); the harness
-/// passes its per-workload memoized stream here so repeated sweeps
-/// never recompile.
-pub fn gang_simulate_isolated_precompiled<F>(
-    n_lanes: usize,
-    build: F,
-    trace: &Trace,
-    compiled: Option<&CompiledTrace>,
-) -> Vec<IsolatedLane>
-where
-    F: Fn(usize) -> Option<GangLane>,
-{
-    isolated_walk(n_lanes, build, |lanes| match compiled {
-        Some(stream) => gang_simulate_precompiled(lanes, trace, stream, SimOptions::default()),
-        None => gang_simulate_with(lanes, trace, SimOptions::default()),
-    })
-}
-
-/// [`gang_simulate_isolated`] over a compiled event stream alone — no
-/// record trace exists anywhere in the walk. This is the sweep
-/// drivers' streaming path ([`gang_simulate_compiled`] with
-/// `dyn_source: None`): every built lane must be monomorphized, which
-/// the callers guarantee by gating on the scheme kinds before choosing
-/// this entry point.
-pub fn gang_simulate_isolated_compiled<F>(
+pub fn gang_simulate_isolated<F>(
     n_lanes: usize,
     build: F,
     compiled: &CompiledTrace,
@@ -1068,20 +919,9 @@ pub fn gang_simulate_isolated_compiled<F>(
 where
     F: Fn(usize) -> Option<GangLane>,
 {
-    isolated_walk(n_lanes, build, |lanes| {
+    let walk = |lanes: &mut [GangLane]| {
         gang_simulate_compiled(lanes, compiled, None, SimOptions::default())
-    })
-}
-
-/// The shared per-lane isolation harness (see
-/// [`gang_simulate_isolated`] for the policy): builds lanes under
-/// `catch_unwind`, runs `walk` once over the survivors, and re-runs
-/// each lane solo if the shared walk panics.
-fn isolated_walk<F, W>(n_lanes: usize, build: F, walk: W) -> Vec<IsolatedLane>
-where
-    F: Fn(usize) -> Option<GangLane>,
-    W: Fn(&mut [GangLane]) -> Vec<SimResult>,
-{
+    };
     let mut outcomes: Vec<IsolatedLane> = Vec::with_capacity(n_lanes);
     let mut lanes: Vec<GangLane> = Vec::new();
     let mut lane_of: Vec<usize> = Vec::new();
@@ -1133,7 +973,8 @@ mod tests {
     use super::*;
     use crate::config::TrainingData;
     use crate::engine::simulate_with;
-    use tlat_core::{AutomatonKind, HrtConfig};
+    use tlat_core::{AutomatonKind, GshareConfig, HrtConfig, VariantConfig};
+    use tlat_trace::{BranchClass, BranchRecord};
     use tlat_workloads::SyntheticStream;
 
     fn sweep() -> Vec<SchemeConfig> {
@@ -1146,85 +987,77 @@ mod tests {
         ]
     }
 
+    /// One lane per configuration (trained schemes train on `trace`).
+    fn lanes(configs: &[SchemeConfig], trace: &Trace) -> Vec<GangLane> {
+        configs
+            .iter()
+            .map(|c| GangLane::from_config(c, Some(trace)))
+            .collect()
+    }
+
+    /// The lane as the per-config engine drives it.
+    fn predictor(lane: &mut GangLane) -> &mut dyn Predictor {
+        match lane {
+            GangLane::TwoLevel(p) => p,
+            GangLane::LeeSmith(p) => p,
+            GangLane::StaticTraining(p) => p,
+            GangLane::Profile(p) => p,
+            GangLane::Dyn(p) => p.as_mut(),
+        }
+    }
+
+    /// Walks `lanes` as one gang over `compiled` and asserts each
+    /// result equals the lane's configuration run alone through
+    /// [`simulate_with`] over `trace` — the reference oracle. Returns
+    /// the solo-run lanes so callers can pin table statistics too.
+    fn assert_gang_matches_solo(
+        configs: &[SchemeConfig],
+        gang: &mut [GangLane],
+        compiled: &CompiledTrace,
+        trace: &Trace,
+        options: SimOptions,
+    ) -> Vec<GangLane> {
+        let ganged = gang_simulate_compiled(gang, compiled, None, options);
+        let mut solo = lanes(configs, trace);
+        for ((config, lane), got) in configs.iter().zip(&mut solo).zip(&ganged) {
+            let want = simulate_with(predictor(lane), trace, options);
+            assert_eq!(got.conditional, want.conditional, "{}", config.label());
+            assert_eq!(got.ras, want.ras, "{}", config.label());
+        }
+        solo
+    }
+
+    /// [`assert_gang_matches_solo`] over `trace`'s own compilation,
+    /// also pinning every LS and AT lane's adopted table statistics
+    /// against what the solo lane's own probing counted.
+    fn gang_matches_solo(configs: &[SchemeConfig], trace: &Trace, options: SimOptions) {
+        let mut gang = lanes(configs, trace);
+        let compiled = CompiledTrace::compile(trace);
+        let solo = assert_gang_matches_solo(configs, &mut gang, &compiled, trace, options);
+        for (g, s) in gang.iter().zip(&solo) {
+            match (g, s) {
+                (GangLane::LeeSmith(a), GangLane::LeeSmith(b)) => {
+                    assert_eq!(a.table_stats(), b.table_stats(), "{}", a.name());
+                }
+                (GangLane::TwoLevel(a), GangLane::TwoLevel(b)) => {
+                    assert_eq!(a.hrt_stats(), b.hrt_stats(), "{}", a.name());
+                }
+                _ => {}
+            }
+        }
+    }
+
     #[test]
     fn gang_matches_per_config_simulation_exactly() {
         let trace = SyntheticStream::mixed(0x5eed, 48).generate(5_000);
-        let options = SimOptions { ras_entries: 16 };
-        let configs = sweep();
-        let mut lanes: Vec<GangLane> = configs
-            .iter()
-            .map(|c| GangLane::from_config(c, Some(&trace)))
-            .collect();
-        let ganged = gang_simulate_with(&mut lanes, &trace, options);
-        for (config, gang_result) in configs.iter().zip(&ganged) {
-            let mut solo = config.build(Some(&trace));
-            let solo_result = simulate_with(solo.as_mut(), &trace, options);
-            assert_eq!(
-                gang_result.conditional, solo_result.conditional,
-                "{} diverged from the single-predictor engine",
-                config.label()
-            );
-            assert_eq!(gang_result.ras, solo_result.ras, "{}", config.label());
-        }
-    }
-
-    #[test]
-    fn record_free_compiled_walk_matches_the_reference() {
-        // The streaming path hands the walk a compiled stream and no
-        // record trace at all; for every streamable lane kind the
-        // results must still be bit-identical to the record reference.
-        let trace = SyntheticStream::mixed(0xfeed, 32).generate(6_000);
-        let compiled = CompiledTrace::compile(&trace);
-        let options = SimOptions { ras_entries: 16 };
-        let configs = vec![
-            SchemeConfig::at(HrtConfig::ahrt(512), 12, AutomatonKind::A2),
-            SchemeConfig::ls(HrtConfig::ahrt(512), AutomatonKind::A2),
-            SchemeConfig::ls(HrtConfig::ahrt(512), AutomatonKind::LastTime),
-            SchemeConfig::st(HrtConfig::ahrt(512), 12, TrainingData::Same),
-            SchemeConfig::Profile,
-        ];
-        let build = |trace: &Trace| -> Vec<GangLane> {
-            configs
-                .iter()
-                .map(|c| GangLane::from_config(c, Some(trace)))
-                .collect()
-        };
-        let free = gang_simulate_compiled(&mut build(&trace), &compiled, None, options);
-        let reference = gang_simulate_records(&mut build(&trace), &trace, options);
-        for ((a, b), config) in free.iter().zip(&reference).zip(&configs) {
-            assert_eq!(a.conditional, b.conditional, "{}", config.label());
-            assert_eq!(a.ras, b.ras, "{}", config.label());
-        }
-    }
-
-    #[test]
-    fn compiled_walk_matches_record_walk_bit_for_bit() {
-        // The tentpole identity: the compiled event-stream inner loop
-        // must be observably indistinguishable from the raw-record
-        // reference walk, for every lane kind at once.
+        gang_matches_solo(&sweep(), &trace, SimOptions { ras_entries: 16 });
         let trace = SyntheticStream::mixed(0xc0de, 64).generate(8_000);
-        let options = SimOptions { ras_entries: 8 };
-        let configs = sweep();
-        let mut compiled_lanes: Vec<GangLane> = configs
-            .iter()
-            .map(|c| GangLane::from_config(c, Some(&trace)))
-            .collect();
-        let mut record_lanes: Vec<GangLane> = configs
-            .iter()
-            .map(|c| GangLane::from_config(c, Some(&trace)))
-            .collect();
-        let compiled = gang_simulate_with(&mut compiled_lanes, &trace, options);
-        let records = gang_simulate_records(&mut record_lanes, &trace, options);
-        for ((config, c), r) in configs.iter().zip(&compiled).zip(&records) {
-            assert_eq!(c.conditional, r.conditional, "{}", config.label());
-            assert_eq!(c.ras, r.ras, "{}", config.label());
-        }
+        gang_matches_solo(&sweep(), &trace, SimOptions { ras_entries: 8 });
     }
 
     #[test]
     fn compiled_walk_covers_every_hrt_organization() {
         let trace = SyntheticStream::mixed(0xfeed, 96).generate(6_000);
-        let options = SimOptions::default();
         let configs = vec![
             SchemeConfig::at(HrtConfig::Ideal, 10, AutomatonKind::A2),
             SchemeConfig::at(HrtConfig::ahrt(64), 8, AutomatonKind::A3),
@@ -1233,48 +1066,68 @@ mod tests {
             SchemeConfig::ls(HrtConfig::ahrt(32), AutomatonKind::A4),
             SchemeConfig::ls(HrtConfig::hhrt(64), AutomatonKind::LastTime),
         ];
-        let mut compiled_lanes: Vec<GangLane> = configs
-            .iter()
-            .map(|c| GangLane::from_config(c, Some(&trace)))
-            .collect();
-        let mut record_lanes: Vec<GangLane> = configs
-            .iter()
-            .map(|c| GangLane::from_config(c, Some(&trace)))
-            .collect();
-        let compiled = gang_simulate_with(&mut compiled_lanes, &trace, options);
-        let records = gang_simulate_records(&mut record_lanes, &trace, options);
-        for ((config, c), r) in configs.iter().zip(&compiled).zip(&records) {
-            assert_eq!(c.conditional, r.conditional, "{}", config.label());
-        }
+        gang_matches_solo(&configs, &trace, SimOptions::default());
     }
 
     #[test]
-    fn dyn_only_gangs_take_the_record_path_unchanged() {
+    fn dyn_only_gangs_walk_the_stream() {
         let trace = SyntheticStream::mixed(0xd1, 16).generate(2_000);
         let configs = vec![SchemeConfig::Btfn, SchemeConfig::AlwaysTaken];
-        let mut a: Vec<GangLane> = configs
-            .iter()
-            .map(|c| GangLane::from_config(c, Some(&trace)))
-            .collect();
-        let mut b: Vec<GangLane> = configs
-            .iter()
-            .map(|c| GangLane::from_config(c, Some(&trace)))
-            .collect();
-        let via_with = gang_simulate_with(&mut a, &trace, SimOptions::default());
-        let via_records = gang_simulate_records(&mut b, &trace, SimOptions::default());
-        for (x, y) in via_with.iter().zip(&via_records) {
-            assert_eq!(x.conditional, y.conditional);
-            assert_eq!(x.ras, y.ras);
+        gang_matches_solo(&configs, &trace, SimOptions::default());
+    }
+
+    #[test]
+    fn dyn_lanes_read_exact_targets_from_the_stream() {
+        // One conditional pc flips between a backward and a forward
+        // target (BTFN's answer flips with it), and one conditional is
+        // also a call (its push reaches the RAS). Dyn lanes must see
+        // every event's own target, whether the stream was compiled
+        // from the records or decoded from TLA3 packets.
+        let mut trace = Trace::new();
+        for i in 0..3_000u32 {
+            let target = if i % 5 < 2 { 0x0f00 } else { 0x1400 };
+            trace.push(BranchRecord::conditional(0x1000, target, i % 3 != 0));
+            let pc = 0x1100 + (i % 7) * 4;
+            trace.push(BranchRecord::conditional(pc, 0x1200, i % 4 == 0));
+            if i % 9 == 0 {
+                trace.push(BranchRecord {
+                    pc: 0x1800,
+                    target: 0x4000,
+                    class: BranchClass::Conditional,
+                    taken: true,
+                    call: true,
+                });
+                trace.push(BranchRecord::subroutine_return(0x4010, 0x1804));
+            }
+        }
+        let configs = vec![
+            SchemeConfig::Btfn,
+            SchemeConfig::AlwaysTaken,
+            SchemeConfig::Gshare(GshareConfig::default_12bit()),
+            SchemeConfig::Tournament {
+                chooser_entries: 1024,
+            },
+            SchemeConfig::Variant(VariantConfig::pas(
+                12,
+                AutomatonKind::A2,
+                HrtConfig::ahrt(512),
+                16,
+            )),
+        ];
+        let options = SimOptions::default();
+        let compiled = CompiledTrace::compile(&trace);
+        let decoded = tlat_trace::packet::decode_compiled(&tlat_trace::packet::encode(&trace))
+            .expect("round trip");
+        for stream in [&compiled, &decoded] {
+            let mut gang = lanes(&configs, &trace);
+            assert!(gang.iter().all(|lane| matches!(lane, GangLane::Dyn(_))));
+            assert_gang_matches_solo(&configs, &mut gang, stream, &trace, options);
         }
     }
 
     #[test]
     fn monomorphized_lanes_are_used_for_the_common_schemes() {
-        let configs = sweep();
-        let lanes: Vec<GangLane> = configs
-            .iter()
-            .map(|c| GangLane::from_config(c, Some(&Trace::new())))
-            .collect();
+        let lanes = lanes(&sweep(), &Trace::new());
         assert!(matches!(lanes[0], GangLane::TwoLevel(_)));
         assert!(matches!(lanes[1], GangLane::LeeSmith(_)));
         assert!(matches!(lanes[2], GangLane::StaticTraining(_)));
@@ -1290,7 +1143,8 @@ mod tests {
     #[test]
     fn empty_gang_walks_without_results() {
         let trace = SyntheticStream::mixed(1, 4).generate(100);
-        assert!(gang_simulate(&mut [], &trace).is_empty());
+        let compiled = CompiledTrace::compile(&trace);
+        assert!(gang_simulate_compiled(&mut [], &compiled, None, SimOptions::default()).is_empty());
     }
 
     /// A predictor that panics after `fuse` conditional branches —
@@ -1313,13 +1167,14 @@ mod tests {
     }
 
     fn solo_reference(config: &SchemeConfig, trace: &Trace) -> SimResult {
-        let mut lanes = [GangLane::from_config(config, Some(trace))];
-        gang_simulate(&mut lanes, trace).pop().unwrap()
+        let mut solo = config.build(Some(trace));
+        simulate_with(solo.as_mut(), trace, SimOptions::default())
     }
 
     #[test]
     fn isolated_walk_contains_a_build_panic() {
         let trace = SyntheticStream::mixed(0xabc, 32).generate(2_000);
+        let compiled = CompiledTrace::compile(&trace);
         let configs = sweep();
         let outcomes = gang_simulate_isolated(
             configs.len(),
@@ -1329,7 +1184,7 @@ mod tests {
                 }
                 Some(GangLane::from_config(&configs[i], Some(&trace)))
             },
-            &trace,
+            &compiled,
         );
         for (i, outcome) in outcomes.iter().enumerate() {
             if i == 1 {
@@ -1349,6 +1204,7 @@ mod tests {
     #[test]
     fn isolated_walk_recovers_from_a_mid_walk_panic() {
         let trace = SyntheticStream::mixed(0xdef, 32).generate(2_000);
+        let compiled = CompiledTrace::compile(&trace);
         let configs = sweep();
         // Lane 2 blows up after 100 branches *inside the shared walk*;
         // the fallback re-runs every lane solo.
@@ -1361,7 +1217,7 @@ mod tests {
                     Some(GangLane::from_config(&configs[i], Some(&trace)))
                 }
             },
-            &trace,
+            &compiled,
         );
         for (i, outcome) in outcomes.iter().enumerate() {
             if i == 2 {
@@ -1379,16 +1235,64 @@ mod tests {
     }
 
     #[test]
-    fn bitsliced_packs_match_the_record_walk_across_organizations() {
+    fn isolated_walk_keeps_not_applicable_lanes_blank() {
+        let trace = SyntheticStream::mixed(0x11, 8).generate(500);
+        let compiled = CompiledTrace::compile(&trace);
+        let configs = sweep();
+        let outcomes = gang_simulate_isolated(
+            3,
+            |i| {
+                if i == 1 {
+                    None // e.g. Diff training without a training set
+                } else {
+                    Some(GangLane::from_config(&configs[i], Some(&trace)))
+                }
+            },
+            &compiled,
+        );
+        assert!(outcomes[0].as_ref().unwrap().is_ok());
+        assert!(outcomes[1].is_none());
+        assert!(outcomes[2].as_ref().unwrap().is_ok());
+    }
+
+    /// Asserts the stream is churny (below the log-replay gate), so a
+    /// test pins the in-loop stepped-pack path.
+    fn assert_churny(trace: &Trace) {
+        let c = CompiledTrace::compile(trace);
+        assert!(
+            c.len() < LOG_REPLAY_MIN_RUN * c.site_run_count(),
+            "trace drifted loop-heavy; this test pins the stepped-pack path"
+        );
+    }
+
+    /// Asserts the stream trips the log-replay gate.
+    fn assert_loop_heavy(trace: &Trace) {
+        let c = CompiledTrace::compile(trace);
+        assert!(
+            c.len() >= LOG_REPLAY_MIN_RUN * c.site_run_count(),
+            "trace must be loop-heavy enough to trip the log-replay gate (mean run {:.2})",
+            c.len() as f64 / c.site_run_count() as f64
+        );
+    }
+
+    #[test]
+    fn bitsliced_packs_match_the_solo_engine_across_organizations() {
         // Packs form wherever ≥2 LS lanes share an exact geometry:
         // five automata on the paper AHRT, pairs on ideal / hashed /
         // a small eviction-heavy associative table, plus a singleton
         // LS straggler and a lone AT lane — both scalar on this
         // churny stream (an AT lane with no mask-group partner packs
         // only on loop-heavy streams) — all bit-identical to the
-        // raw-record reference.
+        // per-config engine, table statistics included. The synthetic
+        // stream visits sites at random, so same-site runs barely form
+        // and shared packs must take the in-loop plane-stepping
+        // strategy here.
         let trace = SyntheticStream::mixed(0xb175, 80).generate(6_000);
-        let options = SimOptions { ras_entries: 8 };
+        assert_churny(&trace);
+        let small = HrtConfig::Associative {
+            entries: 16,
+            ways: 2,
+        };
         let configs = vec![
             SchemeConfig::ls(HrtConfig::ahrt(512), AutomatonKind::LastTime),
             SchemeConfig::ls(HrtConfig::ahrt(512), AutomatonKind::A1),
@@ -1399,52 +1303,12 @@ mod tests {
             SchemeConfig::ls(HrtConfig::Ideal, AutomatonKind::LastTime),
             SchemeConfig::ls(HrtConfig::hhrt(64), AutomatonKind::A2),
             SchemeConfig::ls(HrtConfig::hhrt(64), AutomatonKind::A4),
-            SchemeConfig::ls(
-                HrtConfig::Associative {
-                    entries: 16,
-                    ways: 2,
-                },
-                AutomatonKind::A2,
-            ),
-            SchemeConfig::ls(
-                HrtConfig::Associative {
-                    entries: 16,
-                    ways: 2,
-                },
-                AutomatonKind::A3,
-            ),
+            SchemeConfig::ls(small, AutomatonKind::A2),
+            SchemeConfig::ls(small, AutomatonKind::A3),
             SchemeConfig::ls(HrtConfig::ahrt(256), AutomatonKind::A2), // straggler
             SchemeConfig::at(HrtConfig::ahrt(512), 12, AutomatonKind::A2),
         ];
-        let mut compiled_lanes: Vec<GangLane> = configs
-            .iter()
-            .map(|c| GangLane::from_config(c, Some(&trace)))
-            .collect();
-        let mut record_lanes: Vec<GangLane> = configs
-            .iter()
-            .map(|c| GangLane::from_config(c, Some(&trace)))
-            .collect();
-        // The synthetic stream visits sites at random, so same-site
-        // runs barely form and shared packs must take the in-loop
-        // plane-stepping strategy here.
-        let compiled_stream = CompiledTrace::compile(&trace);
-        assert!(
-            compiled_stream.len() < LOG_REPLAY_MIN_RUN * compiled_stream.site_run_count(),
-            "trace drifted loop-heavy; this test pins the stepped-pack path"
-        );
-        let compiled = gang_simulate_with(&mut compiled_lanes, &trace, options);
-        let records = gang_simulate_records(&mut record_lanes, &trace, options);
-        for ((config, c), r) in configs.iter().zip(&compiled).zip(&records) {
-            assert_eq!(c.conditional, r.conditional, "{}", config.label());
-            assert_eq!(c.ras, r.ras, "{}", config.label());
-        }
-        // The packed lanes' adopted table statistics must also match
-        // what per-lane probing counted on the record walk.
-        for (c, r) in compiled_lanes.iter().zip(&record_lanes) {
-            if let (GangLane::LeeSmith(a), GangLane::LeeSmith(b)) = (c, r) {
-                assert_eq!(a.table_stats(), b.table_stats(), "{}", a.name());
-            }
-        }
+        gang_matches_solo(&configs, &trace, SimOptions { ras_entries: 8 });
     }
 
     /// A trace shaped like nested loops: each visit to a site emits a
@@ -1479,13 +1343,7 @@ mod tests {
         // 2-way table forces evictions and refills mid-stream, so the
         // fill flag rides the log too. Still bit-identical.
         let trace = loop_heavy_trace(6_000);
-        let compiled_stream = CompiledTrace::compile(&trace);
-        assert!(
-            compiled_stream.len() >= LOG_REPLAY_MIN_RUN * compiled_stream.site_run_count(),
-            "trace must be loop-heavy enough to trip the log-replay gate (mean run {:.2})",
-            compiled_stream.len() as f64 / compiled_stream.site_run_count() as f64
-        );
-        let options = SimOptions { ras_entries: 8 };
+        assert_loop_heavy(&trace);
         let small = HrtConfig::Associative {
             entries: 16,
             ways: 2,
@@ -1501,25 +1359,7 @@ mod tests {
             SchemeConfig::ls(HrtConfig::Ideal, AutomatonKind::A2),
             SchemeConfig::ls(HrtConfig::Ideal, AutomatonKind::A4),
         ];
-        let mut compiled_lanes: Vec<GangLane> = configs
-            .iter()
-            .map(|c| GangLane::from_config(c, Some(&trace)))
-            .collect();
-        let mut record_lanes: Vec<GangLane> = configs
-            .iter()
-            .map(|c| GangLane::from_config(c, Some(&trace)))
-            .collect();
-        let compiled = gang_simulate_with(&mut compiled_lanes, &trace, options);
-        let records = gang_simulate_records(&mut record_lanes, &trace, options);
-        for ((config, c), r) in configs.iter().zip(&compiled).zip(&records) {
-            assert_eq!(c.conditional, r.conditional, "{}", config.label());
-            assert_eq!(c.ras, r.ras, "{}", config.label());
-        }
-        for (c, r) in compiled_lanes.iter().zip(&record_lanes) {
-            if let (GangLane::LeeSmith(a), GangLane::LeeSmith(b)) = (c, r) {
-                assert_eq!(a.table_stats(), b.table_stats(), "{}", a.name());
-            }
-        }
+        gang_matches_solo(&configs, &trace, SimOptions { ras_entries: 8 });
     }
 
     #[test]
@@ -1528,9 +1368,8 @@ mod tests {
         // loop has no consumers: every pack owns its probe (private
         // engine for associative geometries) and replays the stream in
         // (site, outcome) runs, word-chunked against the outcome
-        // bitvec — still bit-identical to the record walk.
+        // bitvec — still bit-identical to the per-config engine.
         let trace = SyntheticStream::mixed(0x517e, 64).generate(6_000);
-        let options = SimOptions { ras_entries: 8 };
         let small = HrtConfig::Associative {
             entries: 16,
             ways: 2,
@@ -1548,25 +1387,7 @@ mod tests {
             SchemeConfig::ls(small, AutomatonKind::A2),
             SchemeConfig::ls(small, AutomatonKind::A4),
         ];
-        let mut compiled_lanes: Vec<GangLane> = configs
-            .iter()
-            .map(|c| GangLane::from_config(c, Some(&trace)))
-            .collect();
-        let mut record_lanes: Vec<GangLane> = configs
-            .iter()
-            .map(|c| GangLane::from_config(c, Some(&trace)))
-            .collect();
-        let compiled = gang_simulate_with(&mut compiled_lanes, &trace, options);
-        let records = gang_simulate_records(&mut record_lanes, &trace, options);
-        for ((config, c), r) in configs.iter().zip(&compiled).zip(&records) {
-            assert_eq!(c.conditional, r.conditional, "{}", config.label());
-            assert_eq!(c.ras, r.ras, "{}", config.label());
-        }
-        for (c, r) in compiled_lanes.iter().zip(&record_lanes) {
-            if let (GangLane::LeeSmith(a), GangLane::LeeSmith(b)) = (c, r) {
-                assert_eq!(a.table_stats(), b.table_stats(), "{}", a.name());
-            }
-        }
+        gang_matches_solo(&configs, &trace, SimOptions { ras_entries: 8 });
     }
 
     #[test]
@@ -1585,19 +1406,7 @@ mod tests {
         let configs: Vec<SchemeConfig> = (0..65)
             .map(|i| SchemeConfig::ls(HrtConfig::ahrt(512), kinds[i % kinds.len()]))
             .collect();
-        let mut compiled_lanes: Vec<GangLane> = configs
-            .iter()
-            .map(|c| GangLane::from_config(c, Some(&trace)))
-            .collect();
-        let mut record_lanes: Vec<GangLane> = configs
-            .iter()
-            .map(|c| GangLane::from_config(c, Some(&trace)))
-            .collect();
-        let compiled = gang_simulate_with(&mut compiled_lanes, &trace, SimOptions::default());
-        let records = gang_simulate_records(&mut record_lanes, &trace, SimOptions::default());
-        for (i, (c, r)) in compiled.iter().zip(&records).enumerate() {
-            assert_eq!(c.conditional, r.conditional, "lane {i}");
-        }
+        gang_matches_solo(&configs, &trace, SimOptions::default());
     }
 
     /// An AT configuration with the ablation flags spelled out, for
@@ -1620,18 +1429,8 @@ mod tests {
         })
     }
 
-    /// Pins the adopted HRT statistics of every Two-Level lane against
-    /// the record walk's per-lane probing.
-    fn assert_at_stats_match(compiled: &[GangLane], records: &[GangLane]) {
-        for (c, r) in compiled.iter().zip(records) {
-            if let (GangLane::TwoLevel(a), GangLane::TwoLevel(b)) = (c, r) {
-                assert_eq!(a.hrt_stats(), b.hrt_stats(), "{}", a.name());
-            }
-        }
-    }
-
     #[test]
-    fn bitsliced_at_packs_match_the_record_walk_across_organizations() {
+    fn bitsliced_at_packs_match_the_solo_engine_across_organizations() {
         // AT packs form wherever ≥2 packable Two-Level lanes share a
         // history mask on one HRT organization (on a churny stream a
         // mask-singleton has nothing to amortize its row planes over,
@@ -1644,9 +1443,12 @@ mod tests {
         // gang's scalar consumer), a k=8 lane on the packing AHRT and
         // an ahrt(256) lane are mask-singletons pinned scalar by the
         // churny gate, and an LS pack rides alongside — all
-        // bit-identical to the raw-record reference.
+        // bit-identical to the per-config engine. Random site visits:
+        // shared packs must take the in-loop stepping strategy here
+        // (the reinit lane is the scalar consumer keeping the event
+        // loop alive).
         let trace = SyntheticStream::mixed(0xa7b1, 80).generate(6_000);
-        let options = SimOptions { ras_entries: 8 };
+        assert_churny(&trace);
         let small = HrtConfig::Associative {
             entries: 16,
             ways: 2,
@@ -1669,29 +1471,7 @@ mod tests {
             SchemeConfig::ls(HrtConfig::ahrt(512), AutomatonKind::A2),
             SchemeConfig::ls(HrtConfig::ahrt(512), AutomatonKind::LastTime),
         ];
-        let mut compiled_lanes: Vec<GangLane> = configs
-            .iter()
-            .map(|c| GangLane::from_config(c, Some(&trace)))
-            .collect();
-        let mut record_lanes: Vec<GangLane> = configs
-            .iter()
-            .map(|c| GangLane::from_config(c, Some(&trace)))
-            .collect();
-        // Random site visits: shared packs must take the in-loop
-        // stepping strategy here (the reinit lane is the scalar
-        // consumer keeping the event loop alive).
-        let compiled_stream = CompiledTrace::compile(&trace);
-        assert!(
-            compiled_stream.len() < LOG_REPLAY_MIN_RUN * compiled_stream.site_run_count(),
-            "trace drifted loop-heavy; this test pins the stepped-pack path"
-        );
-        let compiled = gang_simulate_with(&mut compiled_lanes, &trace, options);
-        let records = gang_simulate_records(&mut record_lanes, &trace, options);
-        for ((config, c), r) in configs.iter().zip(&compiled).zip(&records) {
-            assert_eq!(c.conditional, r.conditional, "{}", config.label());
-            assert_eq!(c.ras, r.ras, "{}", config.label());
-        }
-        assert_at_stats_match(&compiled_lanes, &record_lanes);
+        gang_matches_solo(&configs, &trace, SimOptions { ras_entries: 8 });
     }
 
     #[test]
@@ -1712,13 +1492,7 @@ mod tests {
         // scalar consumer), and the lone ideal and hashed singletons
         // take their flavor's run replay.
         let trace = loop_heavy_trace(6_000);
-        let compiled_stream = CompiledTrace::compile(&trace);
-        assert!(
-            compiled_stream.len() >= LOG_REPLAY_MIN_RUN * compiled_stream.site_run_count(),
-            "trace must be loop-heavy enough to trip the log-replay gate (mean run {:.2})",
-            compiled_stream.len() as f64 / compiled_stream.site_run_count() as f64
-        );
-        let options = SimOptions { ras_entries: 8 };
+        assert_loop_heavy(&trace);
         let small = HrtConfig::Associative {
             entries: 16,
             ways: 2,
@@ -1736,21 +1510,7 @@ mod tests {
             SchemeConfig::ls(small, AutomatonKind::A2),
             SchemeConfig::ls(small, AutomatonKind::A4),
         ];
-        let mut compiled_lanes: Vec<GangLane> = configs
-            .iter()
-            .map(|c| GangLane::from_config(c, Some(&trace)))
-            .collect();
-        let mut record_lanes: Vec<GangLane> = configs
-            .iter()
-            .map(|c| GangLane::from_config(c, Some(&trace)))
-            .collect();
-        let compiled = gang_simulate_with(&mut compiled_lanes, &trace, options);
-        let records = gang_simulate_records(&mut record_lanes, &trace, options);
-        for ((config, c), r) in configs.iter().zip(&compiled).zip(&records) {
-            assert_eq!(c.conditional, r.conditional, "{}", config.label());
-            assert_eq!(c.ras, r.ras, "{}", config.label());
-        }
-        assert_at_stats_match(&compiled_lanes, &record_lanes);
+        gang_matches_solo(&configs, &trace, SimOptions { ras_entries: 8 });
     }
 
     #[test]
@@ -1762,40 +1522,25 @@ mod tests {
         // Run on both stream shapes, since the private path chunks
         // same-site runs either way; each geometry's pair shares a
         // history mask so the churny gate packs them too.
+        let small = HrtConfig::Associative {
+            entries: 16,
+            ways: 2,
+        };
+        let configs = vec![
+            SchemeConfig::at(HrtConfig::ahrt(512), 12, AutomatonKind::A2),
+            SchemeConfig::at(HrtConfig::ahrt(512), 12, AutomatonKind::A3),
+            SchemeConfig::at(small, 8, AutomatonKind::A2),
+            SchemeConfig::at(small, 8, AutomatonKind::LastTime),
+            SchemeConfig::at(HrtConfig::Ideal, 9, AutomatonKind::A2),
+            SchemeConfig::at(HrtConfig::Ideal, 9, AutomatonKind::A4),
+            SchemeConfig::at(HrtConfig::hhrt(32), 7, AutomatonKind::A2),
+            SchemeConfig::at(HrtConfig::hhrt(32), 7, AutomatonKind::A1),
+        ];
         for trace in [
             SyntheticStream::mixed(0x9ac7, 64).generate(6_000),
             loop_heavy_trace(6_000),
         ] {
-            let options = SimOptions { ras_entries: 8 };
-            let small = HrtConfig::Associative {
-                entries: 16,
-                ways: 2,
-            };
-            let configs = vec![
-                SchemeConfig::at(HrtConfig::ahrt(512), 12, AutomatonKind::A2),
-                SchemeConfig::at(HrtConfig::ahrt(512), 12, AutomatonKind::A3),
-                SchemeConfig::at(small, 8, AutomatonKind::A2),
-                SchemeConfig::at(small, 8, AutomatonKind::LastTime),
-                SchemeConfig::at(HrtConfig::Ideal, 9, AutomatonKind::A2),
-                SchemeConfig::at(HrtConfig::Ideal, 9, AutomatonKind::A4),
-                SchemeConfig::at(HrtConfig::hhrt(32), 7, AutomatonKind::A2),
-                SchemeConfig::at(HrtConfig::hhrt(32), 7, AutomatonKind::A1),
-            ];
-            let mut compiled_lanes: Vec<GangLane> = configs
-                .iter()
-                .map(|c| GangLane::from_config(c, Some(&trace)))
-                .collect();
-            let mut record_lanes: Vec<GangLane> = configs
-                .iter()
-                .map(|c| GangLane::from_config(c, Some(&trace)))
-                .collect();
-            let compiled = gang_simulate_with(&mut compiled_lanes, &trace, options);
-            let records = gang_simulate_records(&mut record_lanes, &trace, options);
-            for ((config, c), r) in configs.iter().zip(&compiled).zip(&records) {
-                assert_eq!(c.conditional, r.conditional, "{}", config.label());
-                assert_eq!(c.ras, r.ras, "{}", config.label());
-            }
-            assert_at_stats_match(&compiled_lanes, &record_lanes);
+            gang_matches_solo(&configs, &trace, SimOptions { ras_entries: 8 });
         }
     }
 
@@ -1817,40 +1562,6 @@ mod tests {
                 )
             })
             .collect();
-        let mut compiled_lanes: Vec<GangLane> = configs
-            .iter()
-            .map(|c| GangLane::from_config(c, Some(&trace)))
-            .collect();
-        let mut record_lanes: Vec<GangLane> = configs
-            .iter()
-            .map(|c| GangLane::from_config(c, Some(&trace)))
-            .collect();
-        let compiled = gang_simulate_with(&mut compiled_lanes, &trace, SimOptions::default());
-        let records = gang_simulate_records(&mut record_lanes, &trace, SimOptions::default());
-        for (i, (c, r)) in compiled.iter().zip(&records).enumerate() {
-            assert_eq!(c.conditional, r.conditional, "lane {i}");
-        }
-        assert_at_stats_match(&compiled_lanes, &record_lanes);
-    }
-
-    #[test]
-    fn isolated_walk_keeps_not_applicable_lanes_blank() {
-        let trace = SyntheticStream::mixed(0x11, 8).generate(500);
-        let configs = sweep();
-        let outcomes = gang_simulate_isolated(
-            3,
-            |i| {
-                if i == 1 {
-                    None // e.g. Diff training without a training set
-                } else {
-                    Some(GangLane::from_config(&configs[i], Some(&trace)))
-                }
-            },
-            &trace,
-        );
-        assert!(outcomes[0].as_ref().unwrap().is_ok());
-        assert!(outcomes[1].is_none());
-        assert!(outcomes[2].as_ref().unwrap().is_ok());
+        gang_matches_solo(&configs, &trace, SimOptions::default());
     }
 }
-

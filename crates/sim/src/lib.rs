@@ -14,8 +14,8 @@
 //!   [`Report`] whose rows mirror the published series.
 //!
 //! Sweeps execute through a three-layer performance architecture —
-//! the single-pass [`gang`] engine (one trace walk feeds every
-//! configuration), the bounded [`pool`] worker pool (`TLAT_THREADS`),
+//! the single-pass [`gang`] engine (one walk over a workload's compiled
+//! event stream feeds every configuration), the bounded [`pool`] worker pool (`TLAT_THREADS`),
 //! and the persistent [`diskcache`] trace cache (`TLAT_TRACE_CACHE`) —
 //! all behaviour-transparent: reports stay byte-identical to the
 //! sequential reference path.
@@ -91,10 +91,7 @@ pub use error::SimError;
 pub use experiment::{sweep_spec, sweep_specs, Harness, SweepSpec};
 pub use faults::Faults;
 pub use fetch::{simulate_fetch, FetchOptions, FetchResult};
-pub use gang::{
-    gang_simulate, gang_simulate_isolated, gang_simulate_isolated_precompiled,
-    gang_simulate_precompiled, gang_simulate_records, gang_simulate_with, GangLane,
-};
+pub use gang::{gang_simulate_compiled, gang_simulate_isolated, GangLane};
 pub use journal::SweepJournal;
 pub use stats::{PredictionStats, SimResult};
 pub use pool::{run_isolated, threads_from_env, CellPanic};

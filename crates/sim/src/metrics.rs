@@ -99,11 +99,10 @@ pub enum Counter {
     CacheMisses,
     /// Corrupt disk-cache entries evicted (each also counts one miss).
     CacheEvictions,
-    /// Bytes read from disk-cache entries that decoded successfully
-    /// (sums over every format: TLA1, TLA2, TLA3).
+    /// Bytes read from disk-cache entries (TLA3 packets) that decoded
+    /// successfully.
     CacheBytesRead,
-    /// Bytes written to disk-cache entries (TLA3 packets since the
-    /// format landed; migration re-encodes count here too).
+    /// Bytes written to disk-cache entries (TLA3 packets).
     CacheBytesWritten,
     /// Sweep cells computed by simulation this process.
     CellsComputed,
@@ -744,23 +743,6 @@ pub fn summarize(file: &MetricsFile) -> String {
     for (name, value) in &file.counters {
         let _ = writeln!(out, "  {name:<20} {value:>12}");
     }
-    // A run that both read legacy bytes and wrote packet bytes (the
-    // cache-migration case) exposes the effective compression ratio
-    // directly: bytes in over bytes out.
-    let read = file.counters.get("cache_bytes_read").copied().unwrap_or(0);
-    let written = file
-        .counters
-        .get("cache_bytes_written")
-        .copied()
-        .unwrap_or(0);
-    if read > 0 && written > 0 {
-        let _ = writeln!(
-            out,
-            "  {:<20} {:>11.2}x  (cache_bytes_read / cache_bytes_written)",
-            "compression",
-            read as f64 / written as f64
-        );
-    }
     let _ = writeln!(out, "\nspans:");
     let _ = writeln!(out, "  {:<16} {:>8} {:>14} {:>12}", "phase", "count", "total ms", "mean µs");
     for (name, (count, total_ns)) in &file.spans {
@@ -998,24 +980,6 @@ mod tests {
             (4, 2, 0, 0)
         );
         assert!(summarize(&merged).contains("worker_restarts"));
-    }
-
-    #[test]
-    fn summary_reports_compression_when_both_byte_counters_are_present() {
-        let mut snap = Snapshot::default();
-        snap.counters[Counter::CacheBytesRead as usize] = 13_000;
-        snap.counters[Counter::CacheBytesWritten as usize] = 1_000;
-        let with_both =
-            summarize(&check(&render_jsonl_from(&snap, &BTreeMap::new(), None)).unwrap());
-        assert!(with_both.contains("cache_bytes_read"));
-        assert!(with_both.contains("cache_bytes_written"));
-        assert!(with_both.contains("compression"), "{with_both}");
-        assert!(with_both.contains("13.00x"), "{with_both}");
-        // With either counter at zero the ratio line is omitted.
-        snap.counters[Counter::CacheBytesWritten as usize] = 0;
-        let one_sided =
-            summarize(&check(&render_jsonl_from(&snap, &BTreeMap::new(), None)).unwrap());
-        assert!(!one_sided.contains("compression"), "{one_sided}");
     }
 
     #[test]

@@ -79,8 +79,8 @@ impl Which {
 /// a later request (e.g. after fixing permissions) can try again.
 type Slot = Arc<Mutex<Option<Arc<Trace>>>>;
 
-/// Memoization slot for a compiled test-trace event stream (same
-/// in-flight-dedupe discipline as [`Slot`]).
+/// Memoization slot for a compiled event stream (same in-flight-dedupe
+/// discipline as [`Slot`]).
 type CompiledSlot = Arc<Mutex<Option<Arc<CompiledTrace>>>>;
 
 /// A lazy, memoizing store of workload traces.
@@ -88,12 +88,12 @@ type CompiledSlot = Arc<Mutex<Option<Arc<CompiledTrace>>>>;
 pub struct TraceStore {
     budget: u64,
     cache: Mutex<HashMap<(String, Which), Slot>>,
-    /// Compiled test-trace event streams, keyed by workload name.
-    /// Deliberately separate from the record memo: the streaming path
-    /// ([`try_test_compiled`](Self::try_test_compiled)) decodes disk
-    /// entries straight into a [`CompiledTrace`] and must not pin the
-    /// per-branch record vector in memory alongside it.
-    compiled: Mutex<HashMap<String, CompiledSlot>>,
+    /// Compiled event streams, keyed by (workload, test|train) — the
+    /// sweeps' only trace input. Deliberately separate from the record
+    /// memo: a warm disk entry decodes straight into a
+    /// [`CompiledTrace`], and the per-branch record vector is never
+    /// pinned in memory alongside it.
+    compiled: Mutex<HashMap<(String, Which), CompiledSlot>>,
     disk: Option<DiskCache>,
     /// Workload interpretations actually performed (disk-cache hits and
     /// in-memory hits do not count). Lets tests assert a warm cache
@@ -199,58 +199,42 @@ impl TraceStore {
         self.try_train(workload).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// The compiled event stream of `workload`'s test trace,
-    /// memoized per workload.
+    /// The compiled event stream of `workload`'s test trace, memoized
+    /// per workload — the input of every sweep.
     ///
-    /// This is the gang sweeps' streaming path: a warm TLA3 disk entry
-    /// is decoded straight into the [`CompiledTrace`] — site table,
-    /// packed outcome bits, per-site tallies — without ever
-    /// materializing the per-branch record vector, which at the
-    /// paper's twenty-million-branch budget dwarfs the stream itself.
-    /// The record memo is consulted (never populated) so an
-    /// already-resident test trace compiles in memory instead of
-    /// re-reading disk.
+    /// A warm TLA3 disk entry is decoded straight into the
+    /// [`CompiledTrace`] — site table, packed outcome bits, per-site
+    /// tallies — without ever materializing the per-branch record
+    /// vector, which at the paper's twenty-million-branch budget dwarfs
+    /// the stream itself. The record memo is consulted (never
+    /// populated) so an already-resident trace compiles in memory
+    /// instead of re-reading disk.
     ///
     /// # Errors
     ///
     /// [`SimError::Workload`] if the trace must be generated and the
     /// workload program faults.
     pub fn try_test_compiled(&self, workload: &Workload) -> Result<Arc<CompiledTrace>, SimError> {
-        let slot = {
-            let mut compiled = lock_unpoisoned(&self.compiled);
-            Arc::clone(compiled.entry(workload.name.to_owned()).or_default())
-        };
-        let mut guard = lock_unpoisoned(&slot);
-        if let Some(hit) = guard.as_ref() {
-            return Ok(Arc::clone(hit));
+        self.get_compiled(workload, Which::Test)
+    }
+
+    /// The compiled event stream of `workload`'s training trace
+    /// (Table 3), memoized like
+    /// [`try_test_compiled`](Self::try_test_compiled): `Ok(None)` when
+    /// the paper lists no distinct training set.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Workload`] if the trace must be generated and the
+    /// workload program faults.
+    pub fn try_train_compiled(
+        &self,
+        workload: &Workload,
+    ) -> Result<Option<Arc<CompiledTrace>>, SimError> {
+        if workload.train_input().is_none() {
+            return Ok(None);
         }
-        // A test trace already resident in the record memo compiles
-        // directly — no disk read can beat memory.
-        if let Some(test) = self.peek_test(workload) {
-            let compiled = Arc::new(compile_records(&test));
-            *guard = Some(Arc::clone(&compiled));
-            return Ok(compiled);
-        }
-        let input = workload.test_input();
-        let key = TraceKey {
-            workload: workload.name,
-            role: Which::Test.role(),
-            input,
-            budget: self.budget,
-        };
-        if let Some(streamed) = self.disk.as_ref().and_then(|disk| disk.load_compiled(&key)) {
-            metrics::add(Counter::SitesInterned, streamed.num_sites() as u64);
-            let compiled = Arc::new(streamed);
-            *guard = Some(Arc::clone(&compiled));
-            return Ok(compiled);
-        }
-        // Cold cache: generate the records once (persisting them for
-        // next time), compile, and drop the record vector — it is not
-        // memoized on this path on purpose.
-        let test = self.generate(workload, Which::Test, &key)?;
-        let compiled = Arc::new(compile_records(&test));
-        *guard = Some(Arc::clone(&compiled));
-        Ok(compiled)
+        self.get_compiled(workload, Which::Train).map(Some)
     }
 
     /// [`try_test_compiled`](Self::try_test_compiled), panicking on
@@ -264,15 +248,69 @@ impl TraceStore {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// The memoized test trace, if one is already resident. Blocks on
-    /// an in-flight generation of the same trace, but never starts
+    fn get_compiled(
+        &self,
+        workload: &Workload,
+        which: Which,
+    ) -> Result<Arc<CompiledTrace>, SimError> {
+        let slot = {
+            let mut compiled = lock_unpoisoned(&self.compiled);
+            Arc::clone(
+                compiled
+                    .entry((workload.name.to_owned(), which))
+                    .or_default(),
+            )
+        };
+        let mut guard = lock_unpoisoned(&slot);
+        if let Some(hit) = guard.as_ref() {
+            return Ok(Arc::clone(hit));
+        }
+        // A trace already resident in the record memo compiles
+        // directly — no disk read can beat memory.
+        if let Some(records) = self.peek(workload, which) {
+            let compiled = Arc::new(compile_records(&records));
+            *guard = Some(Arc::clone(&compiled));
+            return Ok(compiled);
+        }
+        let key = self.key(workload, which);
+        if let Some(streamed) = self.disk.as_ref().and_then(|disk| disk.load_compiled(&key)) {
+            metrics::add(Counter::SitesInterned, streamed.num_sites() as u64);
+            let compiled = Arc::new(streamed);
+            *guard = Some(Arc::clone(&compiled));
+            return Ok(compiled);
+        }
+        // Cold cache: generate the records once (persisting them for
+        // next time), compile, and drop the record vector — it is not
+        // memoized on this path on purpose.
+        let records = self.generate(workload, which, &key)?;
+        let compiled = Arc::new(compile_records(&records));
+        *guard = Some(Arc::clone(&compiled));
+        Ok(compiled)
+    }
+
+    /// The memoized record trace, if one is already resident. Blocks
+    /// on an in-flight generation of the same trace, but never starts
     /// one.
-    fn peek_test(&self, workload: &Workload) -> Option<Arc<Trace>> {
+    fn peek(&self, workload: &Workload, which: Which) -> Option<Arc<Trace>> {
         let slot = lock_unpoisoned(&self.cache)
-            .get(&(workload.name.to_owned(), Which::Test))
+            .get(&(workload.name.to_owned(), which))
             .map(Arc::clone)?;
         let guard = lock_unpoisoned(&slot);
         guard.as_ref().map(Arc::clone)
+    }
+
+    /// The disk-cache key of one of `workload`'s traces.
+    fn key<'w>(&self, workload: &'w Workload, which: Which) -> TraceKey<'w> {
+        let input = match which {
+            Which::Test => workload.test_input(),
+            Which::Train => workload.train_input().expect("caller checked train_input"),
+        };
+        TraceKey {
+            workload: workload.name,
+            role: which.role(),
+            input,
+            budget: self.budget,
+        }
     }
 
     fn get(&self, workload: &Workload, which: Which) -> Result<Arc<Trace>, SimError> {
@@ -295,16 +333,7 @@ impl TraceStore {
     /// Loads a trace from the disk cache or generates (and persists)
     /// it.
     fn obtain(&self, workload: &Workload, which: Which) -> Result<Trace, SimError> {
-        let input = match which {
-            Which::Test => workload.test_input(),
-            Which::Train => workload.train_input().expect("caller checked train_input"),
-        };
-        let key = TraceKey {
-            workload: workload.name,
-            role: which.role(),
-            input,
-            budget: self.budget,
-        };
+        let key = self.key(workload, which);
         if let Some(cached) = self.disk.as_ref().and_then(|disk| disk.load(&key)) {
             return Ok(cached);
         }
@@ -483,7 +512,7 @@ mod tests {
         assert_eq!(*streamed, reference);
         assert_eq!(warm.generations(), 0, "warm cache must skip generation");
         assert!(
-            warm.peek_test(&w).is_none(),
+            warm.peek(&w, Which::Test).is_none(),
             "streaming decode must not materialize the record trace"
         );
         let _ = std::fs::remove_dir_all(&dir);
@@ -497,7 +526,7 @@ mod tests {
         let compiled = store.test_compiled(&w);
         assert_eq!(store.generations(), 1);
         assert!(
-            store.peek_test(&w).is_none(),
+            store.peek(&w, Which::Test).is_none(),
             "cold streaming path must not memoize the records"
         );
         // The generation persisted: a second store streams it back.

@@ -9,7 +9,7 @@
 use std::sync::Mutex;
 use tlat_core::{AutomatonKind, HrtConfig};
 use tlat_sim::metrics::{self, Counter};
-use tlat_sim::{Harness, SchemeConfig, TrainingData};
+use tlat_sim::{sweep_specs, Harness, SchemeConfig, TraceStore, TrainingData};
 
 static GLOBAL_STATE: Mutex<()> = Mutex::new(());
 
@@ -121,5 +121,43 @@ fn disabled_recording_accumulates_nothing_across_a_sweep() {
     let snap = metrics::Snapshot::now();
     for counter in Counter::ALL {
         assert_eq!(snap.counter(counter), 0, "{} accumulated while off", counter.name());
+    }
+}
+
+#[test]
+fn every_sweep_order_reads_each_cache_entry_once() {
+    // A cold suite generates each of its 14 traces (9 test, 5 training)
+    // exactly once and never reads back an entry it has just written;
+    // a warm suite reads each entry exactly once. Neither may depend
+    // on the order the sweeps run in.
+    let _guard = lock();
+    let mut orders = vec![sweep_specs()];
+    orders.push(sweep_specs().into_iter().rev().collect());
+    for (oi, order) in orders.iter().enumerate() {
+        let dir =
+            std::env::temp_dir().join(format!("tlat-metrics-order{oi}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        for (run, generations, hits) in [("cold", 14, 0), ("warm", 0, 14)] {
+            metrics::set_enabled(true);
+            metrics::reset();
+            let harness = Harness::over(TraceStore::new(2_000).with_disk_cache(&dir));
+            for spec in order {
+                harness.run_sweep(spec);
+            }
+            let snap = metrics::Snapshot::now();
+            metrics::set_enabled(false);
+            metrics::reset();
+            assert_eq!(
+                snap.counter(Counter::TraceGenerations),
+                generations,
+                "order {oi}, {run}: trace_generations"
+            );
+            assert_eq!(
+                snap.counter(Counter::CacheHits),
+                hits,
+                "order {oi}, {run}: cache_hits"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -14,9 +14,14 @@
 //!   `Vec<u32>` and outcomes as a packed bitvec, so the inner loop
 //!   streams 4 bytes + 1 bit per event.
 //!
-//! Returns, calls, and instruction gaps are carried alongside (as
-//! [`RasEvent`]s and a gap vector) for the shared return-address-stack
-//! and timing paths, so a walk never needs the original trace.
+//! Each site's branch target rides along too (one per site, plus an
+//! exact sparse per-event override for a pc whose target varies), so
+//! predictors that read more than the site — BTFN's direction bit, the
+//! record-fed dyn lanes — see exactly the records they would have seen
+//! ([`CompiledTrace::conditional_records`]). Returns, calls, and
+//! instruction gaps are carried alongside (as [`RasEvent`]s and a gap
+//! vector) for the shared return-address-stack and timing paths, so a
+//! walk never needs the original trace.
 //!
 //! # Examples
 //!
@@ -33,7 +38,7 @@
 //! assert_eq!(events, vec![(0, true), (1, false), (0, false)]);
 //! ```
 
-use crate::branch::BranchClass;
+use crate::branch::{BranchClass, BranchRecord};
 use crate::trace::Trace;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -213,6 +218,13 @@ pub enum RasEvent {
 pub struct CompiledTrace {
     /// `SiteId → pc`, in first-appearance order.
     site_pcs: Vec<u32>,
+    /// `SiteId → target` of the site's first event.
+    site_targets: Vec<u32>,
+    /// `(event index, target)` for each conditional event whose target
+    /// differs from its site's first target, in stream order. Compiled
+    /// code gives a conditional pc one target, so this stays empty on
+    /// the workloads; it keeps hand-built traces exact.
+    target_overrides: Vec<(usize, u32)>,
     /// One interned site id per dynamic conditional branch.
     cond_sites: Vec<SiteId>,
     /// One outcome bit per dynamic conditional branch (parallel to
@@ -246,6 +258,8 @@ impl CompiledTrace {
         let mut intern = PcMap::default();
         let mut compiled = CompiledTrace {
             site_pcs: Vec::new(),
+            site_targets: Vec::new(),
+            target_overrides: Vec::new(),
             cond_sites: Vec::with_capacity(n_cond),
             outcomes: PackedBits::with_capacity(n_cond),
             ras: Vec::new(),
@@ -261,8 +275,13 @@ impl CompiledTrace {
                     let site = *intern.entry(branch.pc).or_insert(next);
                     if site == next {
                         compiled.site_pcs.push(branch.pc);
+                        compiled.site_targets.push(branch.target);
                         compiled.site_taken.push(0);
                         compiled.site_counts.push(0);
+                    } else if branch.target != compiled.site_targets[site as usize] {
+                        compiled
+                            .target_overrides
+                            .push((compiled.cond_sites.len(), branch.target));
                     }
                     compiled.site_taken[site as usize] += branch.taken as u64;
                     compiled.site_counts[site as usize] += 1;
@@ -355,6 +374,22 @@ impl CompiledTrace {
             .zip(self.outcomes.iter())
             .map(|(&site, taken)| (site, taken))
     }
+
+    /// Iterates the conditional stream as the records a direction
+    /// predictor reads: `BranchRecord::conditional(pc, target, taken)`
+    /// per event, with each event's exact target. Only the `call` flag
+    /// of a conditional call is not carried (it lives in the RAS
+    /// stream, and no direction predictor reads it).
+    pub fn conditional_records(&self) -> impl Iterator<Item = BranchRecord> + '_ {
+        let mut overrides = self.target_overrides.iter().peekable();
+        self.events().enumerate().map(move |(i, (site, taken))| {
+            let target = match overrides.next_if(|&&(at, _)| at == i) {
+                Some(&(_, target)) => target,
+                None => self.site_targets[site as usize],
+            };
+            BranchRecord::conditional(self.site_pcs[site as usize], target, taken)
+        })
+    }
 }
 
 /// Incremental [`CompiledTrace`] construction for the TLA3 streaming
@@ -379,6 +414,8 @@ impl CompiledBuilder {
         CompiledBuilder {
             c: CompiledTrace {
                 site_pcs: Vec::new(),
+                site_targets: Vec::new(),
+                target_overrides: Vec::new(),
                 cond_sites: Vec::with_capacity(n_cond),
                 outcomes: PackedBits::with_capacity(n_cond),
                 ras: Vec::new(),
@@ -392,8 +429,11 @@ impl CompiledBuilder {
 
     /// Interns the next site (dense ids are assigned in call order,
     /// which the TLA3 format guarantees is first-appearance order).
-    pub(crate) fn define_site(&mut self, pc: u32) {
+    /// `target` is the template's; the site's first event sets the
+    /// target the stream keeps, as [`CompiledTrace::compile`] does.
+    pub(crate) fn define_site(&mut self, pc: u32, target: u32) {
         self.c.site_pcs.push(pc);
+        self.c.site_targets.push(target);
         self.c.site_taken.push(0);
         self.c.site_counts.push(0);
     }
@@ -404,8 +444,15 @@ impl CompiledBuilder {
     ///
     /// Panics when `site` was never defined; the decoder bounds-checks
     /// site references before calling.
-    pub(crate) fn cond(&mut self, site: SiteId, taken: bool, call: bool, gap: u32) {
+    pub(crate) fn cond(&mut self, site: SiteId, target: u32, taken: bool, call: bool, gap: u32) {
         let s = site as usize;
+        if self.c.site_counts[s] == 0 {
+            self.c.site_targets[s] = target;
+        } else if target != self.c.site_targets[s] {
+            self.c
+                .target_overrides
+                .push((self.c.cond_sites.len(), target));
+        }
         self.c.site_taken[s] += taken as u64;
         self.c.site_counts[s] += 1;
         if self.c.cond_sites.last() != Some(&site) {
@@ -570,6 +617,39 @@ mod tests {
             assert!(site < seen, "site {site} appeared before being interned");
         }
         assert_eq!(seen as usize, c.num_sites());
+    }
+
+    #[test]
+    fn conditional_records_carry_every_target_exactly() {
+        let mut t = Trace::new();
+        // One pc flips between a backward and a forward target; another
+        // is a conditional call.
+        for (i, &(pc, target)) in [
+            (0x1000u32, 0x0f00u32),
+            (0x1000, 0x1100),
+            (0x2000, 0x3000),
+            (0x1000, 0x1100),
+            (0x1000, 0x0f00),
+        ]
+        .iter()
+        .enumerate()
+        {
+            t.push(BranchRecord::conditional(pc, target, i % 2 == 0));
+        }
+        t.push(BranchRecord {
+            pc: 0x2000,
+            target: 0x3000,
+            class: BranchClass::Conditional,
+            taken: true,
+            call: true,
+        });
+        let c = CompiledTrace::compile(&t);
+        let expected: Vec<BranchRecord> = t
+            .iter()
+            .map(|b| BranchRecord::conditional(b.pc, b.target, b.taken))
+            .collect();
+        assert_eq!(c.conditional_records().collect::<Vec<_>>(), expected);
+        assert_eq!(c.target_overrides, vec![(1, 0x1100), (3, 0x1100)]);
     }
 
     #[test]

@@ -20,11 +20,12 @@
 //! * [`CompiledTrace`] — a trace pre-digested for gang walks: interned
 //!   conditional-branch sites ([`SiteId`]), SoA outcome stream, and RAS
 //!   events.
-//! * [`codec`] — a compact binary serialization of traces.
+//! * [`codec`] — the shared decode error, trace-file helpers, and the
+//!   text format.
 //! * [`packet`] — the TLA3 packet format: site-dictionary compression
 //!   with branch-map outcome words and streaming decode straight into
 //!   [`CompiledTrace`].
-//! * [`cursor`] — the std-only byte cursor behind the codec.
+//! * [`cursor`] — the std-only byte cursor behind the packet codec.
 //! * [`json`] — hand-rolled JSON serialization ([`json::ToJson`]) used
 //!   by every report-bearing type in the workspace (the repo's
 //!   zero-dependency replacement for serde).

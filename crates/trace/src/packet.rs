@@ -1,10 +1,10 @@
 //! The TLA3 packet trace format: site-dictionary compression with
 //! branch-map outcome words and streaming decode.
 //!
-//! TLA2 spends 13 bytes on every dynamic branch, so a paper-fidelity
-//! 20M-branch trace costs ~280MB on disk and must be fully
-//! materialized as a record vector before the gang walk can compile
-//! it. TLA3 follows the production E-Trace pattern instead: full
+//! A flat record format spends 13 bytes on every dynamic branch, so a
+//! paper-fidelity 20M-branch trace costs ~280MB on disk and must be
+//! fully materialized as a record vector before the gang walk can
+//! compile it. TLA3 follows the production E-Trace pattern instead: full
 //! addresses appear once, when a static branch is first seen, and
 //! every later occurrence is a dense site reference plus one outcome
 //! bit. The stream decodes *directly* into [`CompiledTrace`] — the
@@ -63,8 +63,9 @@
 //!
 //! The decoder enforces the header's record and conditional counts,
 //! bounds-checks every site reference, and reports
-//! [`DecodeError::Truncated`] / [`DecodeError::BadRecord`] with the
-//! same discipline as the TLA1/TLA2 codec. Pre-allocation is capped
+//! [`DecodeError::BadMagic`] (any other magic, including the retired
+//! TLA1/TLA2 record formats), [`DecodeError::Truncated`] or
+//! [`DecodeError::BadRecord`]. Pre-allocation is capped
 //! by the input length (a conditional event costs at least one
 //! branch-map bit), so a hostile header cannot drive an
 //! over-allocation.
@@ -422,13 +423,13 @@ pub fn encode(trace: &Trace) -> Vec<u8> {
 // Decoder
 // ---------------------------------------------------------------------
 
-/// What a packet stream lowers into: either a record [`Trace`]
-/// (compatibility) or a [`CompiledTrace`] (the gang streaming path).
+/// What a packet stream lowers into: either a record [`Trace`] (the
+/// reference engine's input) or a [`CompiledTrace`] (every sweep's).
 /// Site ids arrive dense and in first-appearance order; `cond` is
 /// called once per conditional event with the template (or escape)
 /// fields already resolved.
 trait PacketSink {
-    fn define_site(&mut self, pc: u32);
+    fn define_site(&mut self, pc: u32, target: u32);
     fn cond(&mut self, site: u32, pc: u32, target: u32, taken: bool, call: bool, gap: u32);
     fn other(&mut self, record: BranchRecord, gap: u32);
 }
@@ -439,7 +440,7 @@ struct RecordSink {
 }
 
 impl PacketSink for RecordSink {
-    fn define_site(&mut self, _pc: u32) {}
+    fn define_site(&mut self, _pc: u32, _target: u32) {}
 
     fn cond(&mut self, _site: u32, pc: u32, target: u32, taken: bool, call: bool, gap: u32) {
         self.trace.push(BranchRecord {
@@ -461,12 +462,12 @@ impl PacketSink for RecordSink {
 struct CompiledSink(CompiledBuilder);
 
 impl PacketSink for CompiledSink {
-    fn define_site(&mut self, pc: u32) {
-        self.0.define_site(pc);
+    fn define_site(&mut self, pc: u32, target: u32) {
+        self.0.define_site(pc, target);
     }
 
-    fn cond(&mut self, site: u32, _pc: u32, _target: u32, taken: bool, call: bool, gap: u32) {
-        self.0.cond(site, taken, call, gap);
+    fn cond(&mut self, site: u32, _pc: u32, target: u32, taken: bool, call: bool, gap: u32) {
+        self.0.cond(site, target, taken, call, gap);
     }
 
     fn other(&mut self, record: BranchRecord, gap: u32) {
@@ -600,7 +601,7 @@ fn decode_packets<S: PacketSink>(
                     call: flags & 0x01 != 0,
                     default_gap,
                 });
-                sink.define_site(pc);
+                sink.define_site(pc, target);
             }
             TAG_COND => {
                 let n_refs = varint(r, index)?;
@@ -773,9 +774,8 @@ fn decode_packets<S: PacketSink>(
     Ok(())
 }
 
-/// Deserializes a TLA3 packet stream into a record [`Trace`] (the
-/// compatibility path; the sequential engine and existing tests keep
-/// consuming records).
+/// Deserializes a TLA3 packet stream into a record [`Trace`] (for
+/// the per-config reference engine and the record-level reports).
 ///
 /// # Errors
 ///

@@ -1,12 +1,12 @@
 //! Golden-vector tests pinning the TLA3 packet wire format.
 //!
-//! Like `golden.rs` for TLA1/TLA2: cached traces on disk must stay
-//! readable across releases, so any packet-codec change that breaks
-//! these vectors is a format break, not a refactor. The golden trace
+//! Cached traces on disk must stay readable across releases, so any
+//! packet-codec change that breaks these vectors is a format break,
+//! not a refactor. The golden trace
 //! exercises every packet kind — SYNC, COND (both gap modes), OTHER,
 //! and ESC — plus both template-deviation causes.
 
-use tlat_trace::codec::{self, DecodeError};
+use tlat_trace::codec::DecodeError;
 use tlat_trace::{packet, BranchRecord, CompiledTrace, InstClass, Trace};
 
 /// The trace behind the golden vector, chosen so the packet stream
@@ -68,7 +68,6 @@ const GOLDEN_V3: &[u8] = &[
 #[test]
 fn encode_matches_v3_golden_bytes() {
     assert_eq!(packet::encode(&golden_trace()), GOLDEN_V3);
-    assert_eq!(codec::encode_v3(&golden_trace()), GOLDEN_V3);
 }
 
 #[test]
@@ -78,8 +77,21 @@ fn decode_v3_golden_bytes() {
     assert_eq!(t.gaps(), &[2, 0, 1, 0, 0, 0, 0]);
     assert_eq!(t.inst_mix().get(InstClass::IntAlu), 2);
     assert_eq!(t.conditional_len(), 5);
-    // The generic entry point dispatches on the magic.
-    assert_eq!(codec::decode(GOLDEN_V3).unwrap(), golden_trace());
+}
+
+#[test]
+fn other_magics_are_rejected() {
+    assert_eq!(packet::decode(b""), Err(DecodeError::BadMagic));
+    assert_eq!(packet::decode(b"TL"), Err(DecodeError::BadMagic));
+    // A bare magic with no header is truncation, not an unknown format.
+    assert_eq!(packet::decode(b"TLA3"), Err(DecodeError::Truncated));
+    // The retired record formats and unknown versions.
+    for magic in [b'1', b'2', b'4'] {
+        let mut wrong = GOLDEN_V3.to_vec();
+        wrong[3] = magic;
+        assert_eq!(packet::decode(&wrong), Err(DecodeError::BadMagic));
+        assert_eq!(packet::decode_compiled(&wrong), Err(DecodeError::BadMagic));
+    }
 }
 
 #[test]
@@ -89,6 +101,16 @@ fn streaming_decode_of_golden_bytes_equals_compile() {
     assert_eq!(compiled.site_pcs(), &[0x1000, 0x1010]);
     assert_eq!(compiled.cond_sites(), &[0, 0, 1, 1, 0]);
     assert_eq!(compiled.gaps(), &[2, 0, 1, 0, 0, 0, 0]);
+    // The ESC event's deviating target survives the streaming decode.
+    let conditionals: Vec<BranchRecord> = golden_trace()
+        .iter()
+        .filter(|b| b.class == tlat_trace::BranchClass::Conditional)
+        .copied()
+        .collect();
+    assert_eq!(
+        compiled.conditional_records().collect::<Vec<_>>(),
+        conditionals
+    );
 }
 
 #[test]
@@ -201,21 +223,5 @@ fn branch_map_straddles_byte_and_word_boundaries() {
     assert_eq!(
         packet::decode_compiled(&bytes).unwrap(),
         CompiledTrace::compile(&t)
-    );
-}
-
-#[test]
-fn decode_equals_legacy_roundtrip() {
-    // The TLA3 round-trip must agree with the TLA2 round-trip on the
-    // same trace — same records, same gaps, same mix — and the
-    // streaming decode must equal compile-after-decode of the legacy
-    // bytes.
-    let t = golden_trace();
-    let via_v3 = packet::decode(&packet::encode(&t)).unwrap();
-    let via_v2 = codec::decode(&codec::encode(&t)).unwrap();
-    assert_eq!(via_v3, via_v2);
-    assert_eq!(
-        packet::decode_compiled(&packet::encode(&t)).unwrap(),
-        CompiledTrace::compile(&via_v2)
     );
 }

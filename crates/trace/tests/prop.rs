@@ -2,7 +2,9 @@
 //! `tlat-check` harness.
 
 use tlat_check::{check, gen, prop_assert, prop_assert_eq, Gen};
-use tlat_trace::{codec, BranchClass, BranchRecord, InstClass, PackedBits, ReturnAddressStack, Trace};
+use tlat_trace::{
+    codec, packet, BranchClass, BranchRecord, InstClass, PackedBits, ReturnAddressStack, Trace,
+};
 
 /// `PackedBits::run_len`'s word-level scan (invert, shift,
 /// `trailing_zeros`, cross word boundaries) must agree with a naive
@@ -87,8 +89,8 @@ fn codec_roundtrip() {
         for _ in 0..*mems {
             trace.count_instruction(InstClass::Mem);
         }
-        let bytes = codec::encode(&trace);
-        let back = codec::decode(&bytes).unwrap();
+        let bytes = packet::encode(&trace);
+        let back = packet::decode(&bytes).unwrap();
         prop_assert_eq!(&trace, &back);
         Ok(())
     });
@@ -98,18 +100,20 @@ fn codec_roundtrip() {
 fn decode_never_panics_on_garbage() {
     let bytes = gen::vec_of(gen::u8_any(), 0, 511);
     check("decode_never_panics_on_garbage", &bytes, |bytes| {
-        let _ = codec::decode(bytes);
+        let _ = packet::decode(bytes);
+        let _ = packet::decode_compiled(bytes);
         Ok(())
     });
 }
 
 #[test]
-fn tla3_roundtrip_equals_legacy_roundtrip() {
-    // The packet codec must be exactly as lossless as TLA2: the same
-    // arbitrary trace decodes identically through both formats, and
-    // the streaming compiled decode equals compiling the records.
+fn streaming_decode_carries_every_conditional_record() {
+    // Arbitrary traces — a pc may take several targets — decode
+    // straight into the compiled stream, which equals compiling the
+    // records and rebuilds every conditional record a direction
+    // predictor reads.
     let inputs = gen::tuple2(gen::vec_of(arb_record(), 0, 255), gen::u8_in(0, 49));
-    check("tla3_roundtrip_equals_legacy", &inputs, |(records, ints)| {
+    check("streaming_decode_carries_records", &inputs, |(records, ints)| {
         let mut trace = Trace::new();
         for (i, r) in records.iter().enumerate() {
             for _ in 0..(i % 3) {
@@ -120,15 +124,14 @@ fn tla3_roundtrip_equals_legacy_roundtrip() {
         for _ in 0..*ints {
             trace.count_instruction(InstClass::IntAlu);
         }
-        let v3 = tlat_trace::packet::encode(&trace);
-        let via_v3 = codec::decode(&v3).unwrap();
-        let via_v2 = codec::decode(&codec::encode(&trace)).unwrap();
-        prop_assert_eq!(&via_v3, &via_v2);
-        prop_assert_eq!(&via_v3, &trace);
-        prop_assert_eq!(
-            &tlat_trace::packet::decode_compiled(&v3).unwrap(),
-            &tlat_trace::CompiledTrace::compile(&trace)
-        );
+        let compiled = packet::decode_compiled(&packet::encode(&trace)).unwrap();
+        prop_assert_eq!(&compiled, &tlat_trace::CompiledTrace::compile(&trace));
+        let conditionals: Vec<BranchRecord> = trace
+            .iter()
+            .filter(|b| b.class == BranchClass::Conditional)
+            .map(|b| BranchRecord::conditional(b.pc, b.target, b.taken))
+            .collect();
+        prop_assert_eq!(&compiled.conditional_records().collect::<Vec<_>>(), &conditionals);
         Ok(())
     });
 }
@@ -141,8 +144,8 @@ fn tla3_decode_never_panics_on_garbage() {
     check("tla3_decode_never_panics_on_garbage", &bytes, |bytes| {
         let mut seeded = b"TLA3".to_vec();
         seeded.extend_from_slice(bytes);
-        let _ = tlat_trace::packet::decode(&seeded);
-        let _ = tlat_trace::packet::decode_compiled(&seeded);
+        let _ = packet::decode(&seeded);
+        let _ = packet::decode_compiled(&seeded);
         Ok(())
     });
 }

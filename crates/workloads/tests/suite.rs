@@ -171,10 +171,10 @@ fn trace_generation_is_deterministic_across_runs_and_threads() {
     // encodings. The parallel prewarm/experiment paths depend on this.
     use std::sync::Mutex;
     use tlat_check::fnv1a;
-    use tlat_trace::codec;
+    use tlat_trace::packet;
 
     fn hash_of(w: &tlat_workloads::Workload) -> u64 {
-        fnv1a(&codec::encode(&w.trace_test(5_000).unwrap()))
+        fnv1a(&packet::encode(&w.trace_test(5_000).unwrap()))
     }
 
     let workloads = all();

@@ -24,6 +24,10 @@ fi
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 
+# The benchmark harness (perfbench/, its own package) drives the
+# crates' public API; its self-tests fail when a change breaks that use.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 # Smoke-run every bench target (--test puts them in smoke mode: tiny
 # branch budgets, single iterations — see crates/bench/src/lib.rs).
 cargo bench -q --offline -p tlat-bench -- --test
@@ -57,23 +61,24 @@ grep -q '"bench":"serve/warm_sweep"' BENCH_serve.json || {
     exit 1
 }
 
-# Gang inner-loop bench smoke: the compiled event-stream walk vs the
-# raw-record reference walk must both run (and emit BENCHJSON) under
-# smoke mode. Capture the full output before grepping: `grep -q` on a
-# live pipe exits at first match and the bench would die on SIGPIPE
-# printing its remaining lines.
+# Gang inner-loop bench smoke: each compiled gang walk and its
+# per-config engine baseline (the in-run ratio) must both run and emit
+# BENCHJSON under smoke mode. Capture the full output before grepping:
+# `grep -q` on a live pipe exits at first match and the bench would die
+# on SIGPIPE printing its remaining lines.
 gang_inner_out=$(cargo bench -q --offline -p tlat-bench --bench gang_inner -- --test)
-for line in inner_compiled_walk inner_bitsliced_walk inner_at_pack_walk; do
+for line in inner_solo_engine inner_compiled_walk inner_bitsliced_solo \
+    inner_bitsliced_walk inner_at_pack_solo inner_at_pack_walk; do
     grep -q "^BENCHJSON .*$line" <<<"$gang_inner_out" || {
         echo "error: gang_inner bench emitted no $line BENCHJSON line" >&2
         exit 1
     }
 done
 
-# Trace-codec bench smoke: both wire formats must encode and decode,
-# and the TLA3 streaming decode must emit its line, under smoke mode.
+# Trace-codec bench smoke: TLA3 must encode and decode, and the
+# streaming decode must emit its line, under smoke mode.
 trace_io_out=$(cargo bench -q --offline -p tlat-bench --bench trace_io -- --test)
-for line in encode_tla2 encode_tla3 decode_tla3 stream_decode_compiled; do
+for line in encode_tla3 decode_tla3 stream_decode_compiled; do
     grep -q "^BENCHJSON .*$line" <<<"$trace_io_out" || {
         echo "error: trace_io bench emitted no $line BENCHJSON line" >&2
         exit 1
@@ -81,12 +86,14 @@ for line in encode_tla2 encode_tla3 decode_tla3 stream_decode_compiled; do
 done
 
 # Streaming discipline: the gang sweeps must reach their compiled
-# stream through the store's streaming entry points (TLA3 cache
-# entries decode straight into CompiledTrace; no per-record Vec in the
-# gang path).
+# streams (test and training) through the store's streaming entry
+# points and walk them through the one isolated gang entry point (TLA3
+# cache entries decode straight into CompiledTrace; no per-record Vec
+# in the gang path).
 for gate in \
-    'crates/sim/src/experiment.rs:gang_simulate_isolated_compiled' \
+    'crates/sim/src/experiment.rs:gang_simulate_isolated' \
     'crates/sim/src/experiment.rs:try_test_compiled' \
+    'crates/sim/src/experiment.rs:try_train_compiled' \
     'crates/sim/src/traces.rs:load_compiled' \
     'crates/sim/src/diskcache.rs:decode_compiled'; do
     file=${gate%%:*}; sym=${gate##*:}
@@ -247,36 +254,23 @@ if [[ -e "$smoke_dir/m.jsonl" ]]; then
     exit 1
 fi
 
-# TLA3 cache format + TLA2 migration smoke: entries must be packet-
-# format on disk; a legacy TLA2 record entry seeded under the old
-# `.tla2` name must hit (zero regenerations), be re-encoded as TLA3
-# under the new name, and leave the report byte-identical.
+# TLA3 cache format smoke: entries must be packet-format on disk, and
+# `tlat dump` must write a TLA3 file that `tlat simulate` reads back.
 entry=$(basename "$(ls "$smoke_dir"/cache/*-test-*.tlat | head -n1)")
 if ! head -c4 "$smoke_dir/cache/$entry" | grep -q 'TLA3'; then
     echo "error: trace cache entry $entry is not in the TLA3 packet format" >&2
     exit 1
 fi
-bench_name=${entry%%-*}
-stem=${entry%.tlat}
-rm "$smoke_dir/cache/$entry"
-TLAT_TRACE_CACHE=0 "$tlat" dump "$bench_name" "$smoke_dir/cache/$stem.tla2" > /dev/null
-TLAT_METRICS="$smoke_dir/migrate.jsonl" "$tlat" fig 10 > "$smoke_dir/migrated.txt"
-if ! diff -u "$smoke_dir/clean.txt" "$smoke_dir/migrated.txt"; then
-    echo "error: TLA2 cache migration changed the fig10 report" >&2
+"$tlat" dump eqntott "$smoke_dir/eqntott.tlat" > /dev/null
+if ! head -c4 "$smoke_dir/eqntott.tlat" | grep -q 'TLA3'; then
+    echo "error: tlat dump did not write a TLA3 file" >&2
     exit 1
 fi
-if ! grep -q '"kind":"counter","name":"trace_generations","value":0' "$smoke_dir/migrate.jsonl"; then
-    echo "error: seeded TLA2 entry did not hit (trace regenerated instead of migrated)" >&2
+"$tlat" simulate "$smoke_dir/eqntott.tlat" > "$smoke_dir/simulated.txt"
+grep -q 'accuracy' "$smoke_dir/simulated.txt" || {
+    echo "error: tlat simulate could not read back a dumped trace" >&2
     exit 1
-fi
-if [[ ! -f "$smoke_dir/cache/$stem.tlat" ]]; then
-    echo "error: TLA2 hit was not re-encoded as a TLA3 entry" >&2
-    exit 1
-fi
-if [[ -e "$smoke_dir/cache/$stem.tla2" ]]; then
-    echo "error: migrated TLA2 entry was not removed" >&2
-    exit 1
-fi
+}
 
 # Corrupt-TLA3 eviction: injected truncation of packet entries must
 # evict and regenerate invisibly — identical report, nonzero

@@ -6,7 +6,7 @@ use two_level_adaptive::core::{
     TwoLevelConfig,
 };
 use two_level_adaptive::sim::{simulate, Harness, SchemeConfig, TrainingData};
-use two_level_adaptive::trace::codec;
+use two_level_adaptive::trace::packet;
 use two_level_adaptive::workloads::{all, by_name};
 
 /// Small per-test budget: orderings hold long before the full budget.
@@ -26,7 +26,7 @@ fn every_workload_traces_deterministically() {
 fn traces_roundtrip_through_the_codec() {
     let w = by_name("li").unwrap();
     let trace = w.trace_test(10_000).unwrap();
-    let decoded = codec::decode(&codec::encode(&trace)).unwrap();
+    let decoded = packet::decode(&packet::encode(&trace)).unwrap();
     assert_eq!(trace, decoded);
 }
 

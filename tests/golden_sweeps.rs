@@ -63,9 +63,19 @@ fn scratch_dir(tag: &str) -> PathBuf {
 fn in_memory_strategies_render_the_frozen_reports() {
     let h = Harness::new(BUDGET);
     for (spec, frozen) in fixtures() {
-        assert_eq!(h.run_sweep(&spec).to_string(), frozen, "{}: gang + pool", spec.name);
+        assert_eq!(
+            h.run_sweep(&spec).to_string(),
+            frozen,
+            "{}: gang + pool",
+            spec.name
+        );
         let single = h.accuracy_table_on(spec.title, &spec.configs, 1);
-        assert_eq!(with_notes(single, &spec), frozen, "{}: one thread", spec.name);
+        assert_eq!(
+            with_notes(single, &spec),
+            frozen,
+            "{}: one thread",
+            spec.name
+        );
     }
 }
 
@@ -76,7 +86,12 @@ fn cold_and_warm_disk_caches_render_the_frozen_reports() {
     for (tag, expected_generations) in [("cold", 14), ("warm", 0)] {
         let h = Harness::over(TraceStore::new(BUDGET).with_disk_cache(&dir));
         for (spec, frozen) in &fixtures {
-            assert_eq!(h.run_sweep(spec).to_string(), *frozen, "{}: {tag} cache", spec.name);
+            assert_eq!(
+                h.run_sweep(spec).to_string(),
+                *frozen,
+                "{}: {tag} cache",
+                spec.name
+            );
         }
         assert_eq!(h.store().generations(), expected_generations, "{tag} cache");
     }
