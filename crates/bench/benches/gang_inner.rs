@@ -10,22 +10,25 @@
 //! up front, matching the harness (which memoizes one
 //! [`tlat_trace::CompiledTrace`] per workload); the once-per-workload
 //! compile cost is reported separately as `stream_compile`. Run with
-//! `cargo bench --bench gang_inner`; seven BENCHJSON lines are emitted
+//! `cargo bench --bench gang_inner`; nine BENCHJSON lines are emitted
 //! (`inner_solo_engine`, `inner_compiled_walk`, `stream_compile`,
 //! `inner_bitsliced_solo`, `inner_bitsliced_walk`,
-//! `inner_at_pack_solo`, `inner_at_pack_walk`) plus derived speedup
-//! lines, each an in-run ratio of a walk to its solo baseline. The bitsliced
+//! `inner_at_pack_solo`, `inner_at_pack_walk`, `inner_taxonomy_solo`,
+//! `inner_taxonomy_walk`) plus derived speedup lines, each an in-run
+//! ratio of a walk to its solo baseline. The bitsliced
 //! pair measures an all-Lee-&-Smith lane set that the gang engine
 //! packs into one two-plane [`tlat_core::LanePack`]; the AT-pack pair
 //! measures a fig10-shaped variant × history-length Two-Level grid
 //! that packs into one [`tlat_core::AtPack`] (shared history walk,
 //! pattern-table row planes) — each isolating its plane-stepped walk
-//! from the mixed-lane set above.
+//! from the mixed-lane set above. The taxonomy pair measures the
+//! taxonomy sweep's lanes (GAg/GAs/PAg/PAs, AT, gshare and the AT +
+//! gshare tournament), which the walk drives by site id, unpacked.
 
 use tlat_bench::runner::Runner;
 use tlat_core::{AutomatonKind, HrtConfig};
 use tlat_sim::gang::{gang_simulate_compiled, GangLane};
-use tlat_sim::{simulate_with, SchemeConfig, SimOptions};
+use tlat_sim::{simulate_with, taxonomy, SchemeConfig, SimOptions};
 use tlat_trace::{CompiledTrace, Trace};
 use tlat_workloads::SyntheticStream;
 
@@ -146,6 +149,27 @@ fn main() {
         println!(
             "[gang_inner] AT pack vs per-config engine: {:.2}x",
             at_solo.median_ns / at_packed.median_ns
+        );
+    }
+
+    // The taxonomy sweep's lane set: site-driven scalar lanes with
+    // per-address, per-set and global-history level-one tables.
+    let tax_configs = taxonomy();
+    let tax_events = trace.conditional_len() as u64 * tax_configs.len() as u64;
+    group.plan(1, 7);
+    let tax_solo = group
+        .throughput(tax_events)
+        .bench("inner_taxonomy_solo", || solo_walks(&tax_configs, &trace));
+    group.plan(1, 7);
+    let tax_walk = group
+        .throughput(tax_events)
+        .bench("inner_taxonomy_walk", || {
+            gang_walk(&tax_configs, &trace, &stream)
+        });
+    if tax_walk.median_ns > 0.0 {
+        println!(
+            "[gang_inner] taxonomy walk vs per-config engine: {:.2}x",
+            tax_solo.median_ns / tax_walk.median_ns
         );
     }
 }

@@ -16,9 +16,11 @@
 use tlat_trace::json::{JsonObject, ToJson};
 use crate::automaton::{AnyAutomaton, Automaton, AutomatonKind, A2};
 use crate::history::HistoryRegister;
+use crate::hrt::SiteResolver;
 use crate::pattern::PatternTable;
 use crate::predictor::Predictor;
-use tlat_trace::BranchRecord;
+use crate::two_level::TwoLevelAdaptive;
+use tlat_trace::{BranchRecord, SiteId};
 
 /// Configuration of a [`Gshare`] predictor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,6 +60,9 @@ pub struct Gshare {
     config: GshareConfig,
     history: HistoryRegister,
     table: PatternTable,
+    /// `SiteId → pc >> 2`; empty until
+    /// [`bind_sites`](Gshare::bind_sites).
+    site_addrs: Vec<u32>,
 }
 
 impl Gshare {
@@ -71,12 +76,45 @@ impl Gshare {
             config,
             history: HistoryRegister::new(config.history_bits),
             table: PatternTable::new(config.history_bits, config.automaton),
+            site_addrs: Vec::new(),
         }
     }
 
+    /// Binds this predictor to a compiled trace's interned sites: each
+    /// site's address bits are resolved once, and
+    /// [`predict_update_site`](Gshare::predict_update_site) becomes
+    /// available.
+    pub fn bind_sites(&mut self, resolver: &SiteResolver) {
+        self.site_addrs = resolver.site_pcs().iter().map(|&pc| pc >> 2).collect();
+    }
+
+    /// The predict → resolve → train cycle driven by an interned
+    /// [`SiteId`]; observably identical to [`Predictor::predict`]
+    /// followed by [`Predictor::update`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`bind_sites`](Gshare::bind_sites) ran first.
+    #[inline]
+    pub fn predict_update_site(&mut self, site: SiteId, taken: bool) -> bool {
+        let addr = *self
+            .site_addrs
+            .get(site as usize)
+            .expect("bind_sites must run before predict_update_site");
+        let index = self.index_of(addr as usize);
+        let guess = self.table.predict(index);
+        self.table.update(index, taken);
+        self.history.shift(taken);
+        guess
+    }
+
     fn index(&self, pc: u32) -> usize {
+        self.index_of((pc >> 2) as usize)
+    }
+
+    fn index_of(&self, addr: usize) -> usize {
         let mask = self.table.len() - 1;
-        (self.history.pattern() ^ ((pc >> 2) as usize)) & mask
+        (self.history.pattern() ^ addr) & mask
     }
 }
 
@@ -105,14 +143,22 @@ impl Predictor for Gshare {
 ///
 /// The chooser state moves toward the component that was right when
 /// they disagree; state ≥ 2 selects the second component.
-pub struct Tournament {
-    first: Box<dyn Predictor>,
-    second: Box<dyn Predictor>,
+///
+/// The components default to trait objects, so any pair of predictors
+/// combines; the registry's AT + gshare pairing is built concretely
+/// (`Tournament<TwoLevelAdaptive, Gshare>`), which adds a site-driven
+/// cycle ([`predict_update_site`](Tournament::predict_update_site)).
+pub struct Tournament<A = Box<dyn Predictor>, B = Box<dyn Predictor>> {
+    first: A,
+    second: B,
     chooser: Vec<AnyAutomaton>,
     chooser_mask: usize,
+    /// `SiteId → chooser entry`; empty until
+    /// [`bind_sites`](Tournament::bind_sites).
+    site_choosers: Vec<u32>,
 }
 
-impl std::fmt::Debug for Tournament {
+impl<A: Predictor, B: Predictor> std::fmt::Debug for Tournament<A, B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Tournament")
             .field("first", &self.first.name())
@@ -122,18 +168,14 @@ impl std::fmt::Debug for Tournament {
     }
 }
 
-impl Tournament {
+impl<A, B> Tournament<A, B> {
     /// Combines two predictors with a `chooser_entries`-entry chooser
     /// (indexed by branch address).
     ///
     /// # Panics
     ///
     /// Panics unless `chooser_entries` is a power of two.
-    pub fn new(
-        first: Box<dyn Predictor>,
-        second: Box<dyn Predictor>,
-        chooser_entries: usize,
-    ) -> Self {
+    pub fn new(first: A, second: B, chooser_entries: usize) -> Self {
         assert!(
             chooser_entries.is_power_of_two(),
             "chooser size must be a power of two (got {chooser_entries})"
@@ -146,6 +188,7 @@ impl Tournament {
             // but the chooser corrects within a few disagreements).
             chooser: vec![AnyAutomaton::A2(A2::init_not_taken().update(true)); chooser_entries],
             chooser_mask: chooser_entries - 1,
+            site_choosers: Vec::new(),
         }
     }
 
@@ -154,7 +197,50 @@ impl Tournament {
     }
 }
 
-impl Predictor for Tournament {
+impl Tournament<TwoLevelAdaptive, Gshare> {
+    /// Binds both components and the chooser to a compiled trace's
+    /// interned sites, making
+    /// [`predict_update_site`](Tournament::predict_update_site)
+    /// available.
+    pub fn bind_sites(&mut self, resolver: &mut SiteResolver) {
+        self.first.bind_sites(resolver);
+        self.second.bind_sites(resolver);
+        self.site_choosers = resolver
+            .site_pcs()
+            .iter()
+            .map(|&pc| self.chooser_index(pc) as u32)
+            .collect();
+    }
+
+    /// The predict → resolve → train cycle driven by an interned
+    /// [`SiteId`]: each component runs its own site cycle, then the
+    /// chooser — read before it trains — picks the guess and, when the
+    /// components disagree, moves toward the one that was right.
+    /// Guesses are identical to [`Predictor::predict`] followed by
+    /// [`Predictor::update`]: the chooser sees the same two answers,
+    /// and neither component's update depends on the chooser.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`bind_sites`](Tournament::bind_sites) ran first.
+    #[inline]
+    pub fn predict_update_site(&mut self, site: SiteId, taken: bool) -> bool {
+        let index = *self
+            .site_choosers
+            .get(site as usize)
+            .expect("bind_sites must run before predict_update_site");
+        let a = self.first.predict_update_site(site, taken);
+        let b = self.second.predict_update_site(site, taken);
+        let entry = &mut self.chooser[index as usize];
+        let guess = if entry.predict() { b } else { a };
+        if a != b {
+            *entry = entry.update(b == taken);
+        }
+        guess
+    }
+}
+
+impl<A: Predictor, B: Predictor> Predictor for Tournament<A, B> {
     fn name(&self) -> String {
         format!("tournament({} | {})", self.first.name(), self.second.name())
     }

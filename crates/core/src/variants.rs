@@ -24,10 +24,11 @@
 use tlat_trace::json::{JsonObject, ToJson};
 use crate::automaton::AutomatonKind;
 use crate::history::HistoryRegister;
-use crate::hrt::{AnyHrt, HistoryTable, HrtConfig, HrtStats};
+use crate::hrt::{AnyHrt, HistoryTable, HrtConfig, HrtStats, SiteKeys, SiteResolver};
 use crate::pattern::PatternTable;
 use crate::predictor::Predictor;
-use tlat_trace::BranchRecord;
+use std::sync::Arc;
+use tlat_trace::{BranchRecord, SiteId};
 
 /// First-level (history) organization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -185,6 +186,12 @@ pub struct TwoLevelVariant {
     level1: Level1,
     tables: Vec<PatternTable>,
     set_mask: usize,
+    /// Per-trace HRT coordinates of per-address scopes; set by
+    /// [`bind_sites`](TwoLevelVariant::bind_sites).
+    keys: Option<Arc<SiteKeys>>,
+    /// `SiteId → pattern table`; empty until
+    /// [`bind_sites`](TwoLevelVariant::bind_sites).
+    site_tables: Vec<u32>,
 }
 
 impl TwoLevelVariant {
@@ -222,7 +229,64 @@ impl TwoLevelVariant {
             level1,
             tables,
             set_mask: sets - 1,
+            keys: None,
+            site_tables: Vec::new(),
         }
+    }
+
+    /// Binds this predictor to a compiled trace's interned sites: a
+    /// per-address scope's HRT coordinates are resolved once (shared
+    /// with other same-geometry lanes via `resolver`), every site's
+    /// pattern table is looked up once, and
+    /// [`predict_update_site`](TwoLevelVariant::predict_update_site)
+    /// becomes available.
+    pub fn bind_sites(&mut self, resolver: &mut SiteResolver) {
+        if let HistoryScope::PerAddress(hrt) = self.config.history {
+            self.keys = Some(resolver.keys(hrt));
+        }
+        self.site_tables = resolver
+            .site_pcs()
+            .iter()
+            .map(|&pc| self.table_index(pc) as u32)
+            .collect();
+    }
+
+    /// The predict → resolve → train cycle driven by an interned
+    /// [`SiteId`]. Observably identical to [`Predictor::predict`]
+    /// followed by [`Predictor::update`] — same guesses, same state,
+    /// same [`HrtStats`] (the update's `peek` counts nothing) — but a
+    /// per-address scope searches its HRT once, through the per-trace
+    /// [`SiteKeys`], and the pattern table comes from a per-site index.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`bind_sites`](TwoLevelVariant::bind_sites) ran
+    /// first.
+    #[inline]
+    pub fn predict_update_site(&mut self, site: SiteId, taken: bool) -> bool {
+        let table = *self
+            .site_tables
+            .get(site as usize)
+            .expect("bind_sites must run before predict_update_site");
+        let bits = self.config.history_bits;
+        let history = match &mut self.level1 {
+            Level1::Global(hr) => hr,
+            Level1::PerAddress(t) => {
+                let keys = self.keys.as_ref().expect("per-address scopes bind keys");
+                &mut t
+                    .get_or_allocate_site(site, keys, || VariantEntry {
+                        history: HistoryRegister::new(bits),
+                    })
+                    .0
+                    .history
+            }
+        };
+        let old_pattern = history.pattern();
+        history.shift(taken);
+        let table = &mut self.tables[table as usize];
+        let guess = table.predict(old_pattern);
+        table.update(old_pattern, taken);
+        guess
     }
 
     /// This predictor's configuration.

@@ -3,9 +3,9 @@
 
 use tlat_check::{check, gen, prop_assert_eq, Gen};
 use tlat_core::{
-    Ahrt, AnyHrt, Automaton, AutomatonKind, HistoryRegister, HistoryTable, HrtConfig, Ihrt,
-    LeeSmithBtb, LeeSmithConfig, PatternTable, Predictor, SiteResolver, TwoLevelAdaptive,
-    TwoLevelConfig, A2,
+    Ahrt, AnyHrt, Automaton, AutomatonKind, Gshare, GshareConfig, HistoryRegister, HistoryTable,
+    HrtConfig, Ihrt, LeeSmithBtb, LeeSmithConfig, PatternTable, Predictor, SiteResolver,
+    Tournament, TwoLevelAdaptive, TwoLevelConfig, TwoLevelVariant, VariantConfig, A2,
 };
 use tlat_trace::{BranchRecord, CompiledTrace, Trace};
 
@@ -201,9 +201,12 @@ fn periodic_patterns_are_learned() {
 
 /// The compiled site-driven path is observably identical to the
 /// record-driven path: same guess at every event and the same final
-/// table stats, for both schemes across every HRT organization and
-/// several geometries (small tables force evictions, so the AHRT's
-/// victim-inheritance and LRU ordering are exercised too).
+/// table stats, for the AT and LS schemes, the GAg/GAs/PAg/PAs
+/// taxonomy, gshare and the AT + gshare tournament, across every HRT
+/// organization and several geometries (small tables force evictions,
+/// so the AHRT's victim-inheritance and LRU ordering are exercised
+/// too). The taxonomy, gshare and tournament are compared against
+/// their two-phase `predict`/`update` cycle, the reference engine's.
 #[test]
 fn site_driven_prediction_matches_record_driven_prediction() {
     let geometries = [
@@ -249,6 +252,49 @@ fn site_driven_prediction_matches_record_driven_prediction() {
             let mut ls_sites = LeeSmithBtb::new(ls_config);
             ls_sites.bind_sites(&mut resolver);
 
+            let variant_configs = [
+                VariantConfig::gag(*bits, AutomatonKind::A2),
+                VariantConfig::gas(*bits, AutomatonKind::A3, 4),
+                VariantConfig::pag(*bits, AutomatonKind::A2, *hrt),
+                VariantConfig::pas(*bits, AutomatonKind::LastTime, *hrt, 8),
+            ];
+            let mut variant_records: Vec<TwoLevelVariant> = variant_configs
+                .iter()
+                .map(|&c| TwoLevelVariant::new(c))
+                .collect();
+            let mut variant_sites: Vec<TwoLevelVariant> = variant_configs
+                .iter()
+                .map(|&c| TwoLevelVariant::new(c))
+                .collect();
+            for v in &mut variant_sites {
+                v.bind_sites(&mut resolver);
+            }
+
+            let gshare_config = GshareConfig {
+                history_bits: *bits,
+                automaton: AutomatonKind::A2,
+            };
+            let mut gshare_records = Gshare::new(gshare_config);
+            let mut gshare_sites = Gshare::new(gshare_config);
+            gshare_sites.bind_sites(&resolver);
+
+            let tournament = || {
+                Tournament::new(
+                    TwoLevelAdaptive::new(at_config),
+                    Gshare::new(gshare_config),
+                    16,
+                )
+            };
+            let mut tournament_records = tournament();
+            let mut tournament_sites = tournament();
+            tournament_sites.bind_sites(&mut resolver);
+
+            let two_phase = |p: &mut dyn Predictor, record: &BranchRecord| {
+                let guess = p.predict(record);
+                p.update(record);
+                guess
+            };
+
             for (record, (site, taken)) in trace.iter().zip(compiled.events()) {
                 prop_assert_eq!(
                     at_records.predict_update(record),
@@ -262,9 +308,33 @@ fn site_driven_prediction_matches_record_driven_prediction() {
                     "LS diverged at pc {:#x}",
                     record.pc
                 );
+                for (a, b) in variant_records.iter_mut().zip(&mut variant_sites) {
+                    prop_assert_eq!(
+                        two_phase(a, record),
+                        b.predict_update_site(site, taken),
+                        "{} diverged at pc {:#x}",
+                        a.name(),
+                        record.pc
+                    );
+                }
+                prop_assert_eq!(
+                    two_phase(&mut gshare_records, record),
+                    gshare_sites.predict_update_site(site, taken),
+                    "gshare diverged at pc {:#x}",
+                    record.pc
+                );
+                prop_assert_eq!(
+                    two_phase(&mut tournament_records, record),
+                    tournament_sites.predict_update_site(site, taken),
+                    "tournament diverged at pc {:#x}",
+                    record.pc
+                );
             }
             prop_assert_eq!(at_records.hrt_stats(), at_sites.hrt_stats());
             prop_assert_eq!(ls_records.table_stats(), ls_sites.table_stats());
+            for (a, b) in variant_records.iter().zip(&variant_sites) {
+                prop_assert_eq!(a.hrt_stats(), b.hrt_stats(), "{}", a.name());
+            }
             Ok(())
         },
     );

@@ -168,11 +168,9 @@ impl SchemeConfig {
             SchemeConfig::LeeSmith(c) => Box::new(LeeSmithBtb::new(*c)),
             SchemeConfig::Variant(c) => Box::new(TwoLevelVariant::new(*c)),
             SchemeConfig::Gshare(c) => Box::new(Gshare::new(*c)),
-            SchemeConfig::Tournament { chooser_entries } => Box::new(Tournament::new(
-                Box::new(TwoLevelAdaptive::new(TwoLevelConfig::paper_default())),
-                Box::new(Gshare::new(GshareConfig::default_12bit())),
-                *chooser_entries,
-            )),
+            SchemeConfig::Tournament { chooser_entries } => {
+                Box::new(at_gshare_tournament(*chooser_entries))
+            }
             SchemeConfig::Profile => {
                 let trace = training.expect("profiling requires a training trace");
                 Box::new(ProfilePredictor::train(trace))
@@ -206,6 +204,17 @@ impl SchemeConfig {
     pub fn ls(hrt: HrtConfig, automaton: AutomatonKind) -> Self {
         SchemeConfig::LeeSmith(LeeSmithConfig { automaton, hrt })
     }
+}
+
+/// The registry's tournament: the paper's headline AT configuration
+/// against 12-bit gshare, built concretely so gang walks can drive it
+/// by site id.
+pub(crate) fn at_gshare_tournament(chooser_entries: usize) -> Tournament<TwoLevelAdaptive, Gshare> {
+    Tournament::new(
+        TwoLevelAdaptive::new(TwoLevelConfig::paper_default()),
+        Gshare::new(GshareConfig::default_12bit()),
+        chooser_entries,
+    )
 }
 
 /// The paper's Table 2: every simulated configuration.

@@ -1030,9 +1030,10 @@ mod tests {
     #[test]
     fn gang_engine_and_pool_match_sequential_byte_for_byte() {
         let h = harness();
-        // A sweep exercising every lane kind — the monomorphized AT and
-        // LS fast paths, dyn fallbacks, and a Diff-training config that
-        // yields `None` cells on the four Table 3 exclusions.
+        // A sweep exercising the main lane kinds — the monomorphized AT
+        // and LS fast paths, per-site profile and BTFN scoring, and a
+        // Diff-training config that yields `None` cells on the four
+        // Table 3 exclusions.
         let configs = vec![
             SchemeConfig::at(HrtConfig::ahrt(512), 12, AutomatonKind::A2),
             SchemeConfig::ls(HrtConfig::ahrt(512), AutomatonKind::LastTime),

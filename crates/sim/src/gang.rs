@@ -10,13 +10,18 @@
 //!
 //! Five further savings fall out:
 //!
-//! * **Monomorphization** — the common sweep schemes
-//!   ([`TwoLevelAdaptive`], [`LeeSmithBtb`], [`StaticTraining`],
-//!   [`ProfilePredictor`]) run as concrete enum variants of
-//!   [`GangLane`], so their per-branch predict/update is a direct
-//!   (inlinable) call; everything else takes the boxed dyn fallback
-//!   lane, fed the stream's rebuilt conditional records
-//!   ([`CompiledTrace::conditional_records`]).
+//! * **Monomorphization** — every [`SchemeConfig`] builds a concrete
+//!   enum variant of [`GangLane`] ([`TwoLevelAdaptive`],
+//!   [`LeeSmithBtb`], [`StaticTraining`], the [`TwoLevelVariant`]
+//!   taxonomy, [`Gshare`], the AT + gshare [`Tournament`],
+//!   [`ProfilePredictor`], and the [`FixedRule`]s), so each lane's
+//!   per-event cycle is a direct (inlinable) call driven by site id.
+//!   Per-address taxonomy lanes search their HRT once per event
+//!   through the resolved site keys, per-set lanes read a per-site
+//!   table index, and the tournament runs both components' site
+//!   cycles under a per-site chooser. Only hand-built predictors take
+//!   the boxed [`GangLane::Dyn`] lane, fed the stream's rebuilt
+//!   conditional records ([`CompiledTrace::conditional_records`]).
 //! * **Stream compilation** — the walk reads a site-interned SoA event
 //!   stream ([`CompiledTrace`], compiled or decoded once per workload)
 //!   and every lane's table coordinates are resolved per static site up
@@ -51,11 +56,14 @@
 //!   plane step per event in-loop. In every run-replayed walk a loop
 //!   branch's same-outcome tail applies in O(1) once every history
 //!   register saturates and every automaton sits at its fixed point.
-//! * **Closed-form profile scoring** — a profile lane's frozen
-//!   per-site bits never change during a walk, so its score is a
-//!   weighted sum over the compiled stream's per-site taken counts:
+//! * **Closed-form scoring** — a profile lane's frozen per-site bits
+//!   never change during a walk, and neither do Always Taken's,
+//!   Always Not Taken's or BTFN's guesses, so their scores are
+//!   weighted sums over the compiled stream's per-site taken counts:
 //!   per site, not per event, and identical to event-by-event
-//!   recording.
+//!   recording. BTFN reads the target, so each event whose target
+//!   differs from its site's ([`CompiledTrace::target_overrides`])
+//!   gets an exact correction.
 //! * **Shared RAS** — return-address-stack behaviour depends only on
 //!   the trace, never on the direction predictor, so the gang simulates
 //!   the RAS once and stamps the same stats into every lane's result.
@@ -64,7 +72,7 @@
 //! per predictor: each lane observes exactly the same predict/update
 //! sequence it would alone.
 
-use crate::config::SchemeConfig;
+use crate::config::{at_gshare_tournament, SchemeConfig};
 use crate::engine::SimOptions;
 use crate::metrics::{self, Counter, Phase};
 use crate::stats::{PredictionStats, SimResult};
@@ -72,18 +80,19 @@ use crate::pool::{catch_cell, CellPanic};
 use std::collections::HashMap;
 use std::sync::Arc;
 use tlat_core::{
-    AtLaneConfig, AtPack, AutomatonKind, HrtConfig, HrtStats, LanePack, LeeSmithBtb, Predictor,
-    ProbeOutcome, ProfilePredictor, SiteKeys, SiteResolver, SlotProbe, StaticTraining,
-    StaticTrainingConfig, TwoLevelAdaptive,
+    AlwaysNotTaken, AlwaysTaken, AtLaneConfig, AtPack, AutomatonKind, Btfn, Gshare, HrtConfig,
+    HrtStats, LanePack, LeeSmithBtb, Predictor, ProbeOutcome, ProfilePredictor, SiteKeys,
+    SiteResolver, SlotProbe, StaticTraining, StaticTrainingConfig, Tournament, TwoLevelAdaptive,
+    TwoLevelVariant,
 };
-use tlat_trace::{CompiledTrace, RasEvent, ReturnAddressStack, SiteId, Trace};
+use tlat_trace::{BranchRecord, CompiledTrace, RasEvent, ReturnAddressStack, SiteId, Trace};
 
 /// One predictor riding a gang walk.
 ///
 /// The concrete variants exist purely so the per-branch inner loop can
-/// call them without dynamic dispatch (and, on the compiled stream,
-/// with site-resolved table coordinates); [`GangLane::Dyn`] carries
-/// every other scheme.
+/// call them without dynamic dispatch, with site-resolved table
+/// coordinates on the compiled stream; every [`SchemeConfig`] builds
+/// one. [`GangLane::Dyn`] carries hand-built predictors only.
 pub enum GangLane {
     /// The paper's Two-Level Adaptive Training scheme, monomorphized.
     TwoLevel(TwoLevelAdaptive),
@@ -91,11 +100,65 @@ pub enum GangLane {
     LeeSmith(LeeSmithBtb),
     /// Lee & Smith's Static Training scheme, monomorphized.
     StaticTraining(StaticTraining),
+    /// A two-level taxonomy predictor (GAg/GAs/PAg/PAs),
+    /// monomorphized.
+    Variant(TwoLevelVariant),
+    /// gshare, monomorphized.
+    Gshare(Gshare),
+    /// The registry's AT + gshare tournament, monomorphized down to
+    /// its components.
+    Tournament(Tournament<TwoLevelAdaptive, Gshare>),
     /// The §4.2 profiling scheme, monomorphized (its frozen per-branch
     /// bits resolve to a dense per-site table on the compiled stream).
     Profile(ProfilePredictor),
-    /// Any other predictor, behind the usual trait object.
+    /// A fixed-rule scheme, scored in closed form per site.
+    Fixed(FixedRule),
+    /// A hand-built predictor behind the usual trait object, fed the
+    /// stream's rebuilt conditional records
+    /// ([`CompiledTrace::conditional_records`]).
     Dyn(Box<dyn Predictor>),
+}
+
+/// A scheme whose guess is a fixed function of the branch's address
+/// and target: it never trains, so a gang walk scores it per site
+/// instead of per event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FixedRule {
+    /// Always taken ([`AlwaysTaken`]).
+    AlwaysTaken,
+    /// Always not taken ([`AlwaysNotTaken`]).
+    AlwaysNotTaken,
+    /// Backward taken, forward not taken ([`Btfn`]).
+    Btfn,
+}
+
+impl FixedRule {
+    /// The rule's guess for a conditional branch at `pc` targeting
+    /// `target`, as the rule's own predictor answers it.
+    fn guess(self, pc: u32, target: u32) -> bool {
+        let branch = BranchRecord::conditional(pc, target, false);
+        match self {
+            FixedRule::AlwaysTaken => AlwaysTaken.predict(&branch),
+            FixedRule::AlwaysNotTaken => AlwaysNotTaken.predict(&branch),
+            FixedRule::Btfn => Btfn.predict(&branch),
+        }
+    }
+}
+
+impl Predictor for FixedRule {
+    fn name(&self) -> String {
+        match self {
+            FixedRule::AlwaysTaken => AlwaysTaken.name(),
+            FixedRule::AlwaysNotTaken => AlwaysNotTaken.name(),
+            FixedRule::Btfn => Btfn.name(),
+        }
+    }
+
+    fn predict(&mut self, branch: &BranchRecord) -> bool {
+        self.guess(branch.pc, branch.target)
+    }
+
+    fn update(&mut self, _branch: &BranchRecord) {}
 }
 
 impl std::fmt::Debug for GangLane {
@@ -105,8 +168,7 @@ impl std::fmt::Debug for GangLane {
 }
 
 impl GangLane {
-    /// Builds the lane for a configuration, picking the monomorphized
-    /// variant when one exists.
+    /// Builds the monomorphized lane for a configuration.
     ///
     /// # Panics
     ///
@@ -131,11 +193,18 @@ impl GangLane {
                     trace,
                 ))
             }
+            SchemeConfig::Variant(c) => GangLane::Variant(TwoLevelVariant::new(*c)),
+            SchemeConfig::Gshare(c) => GangLane::Gshare(Gshare::new(*c)),
+            SchemeConfig::Tournament { chooser_entries } => {
+                GangLane::Tournament(at_gshare_tournament(*chooser_entries))
+            }
             SchemeConfig::Profile => {
                 let trace = training.expect("profiling requires a training trace");
                 GangLane::Profile(ProfilePredictor::train(trace))
             }
-            other => GangLane::Dyn(other.build(training)),
+            SchemeConfig::AlwaysTaken => GangLane::Fixed(FixedRule::AlwaysTaken),
+            SchemeConfig::AlwaysNotTaken => GangLane::Fixed(FixedRule::AlwaysNotTaken),
+            SchemeConfig::Btfn => GangLane::Fixed(FixedRule::Btfn),
         }
     }
 
@@ -145,21 +214,25 @@ impl GangLane {
             GangLane::TwoLevel(p) => p.name(),
             GangLane::LeeSmith(p) => p.name(),
             GangLane::StaticTraining(p) => p.name(),
+            GangLane::Variant(p) => p.name(),
+            GangLane::Gshare(p) => p.name(),
+            GangLane::Tournament(p) => p.name(),
             GangLane::Profile(p) => p.name(),
+            GangLane::Fixed(p) => p.name(),
             GangLane::Dyn(p) => p.name(),
         }
     }
 
-    /// The lane's history-table organization, for monomorphized lanes
-    /// that probe one (`None` for Profile and dyn lanes). Lanes sharing
-    /// an associative organization share a [`SlotProbe`] during a
+    /// The lane's history-table organization, for the lanes that share
+    /// probes or pack (`None` for every other lane). Lanes sharing an
+    /// associative organization share a [`SlotProbe`] during a
     /// compiled walk.
     fn hrt_config(&self) -> Option<HrtConfig> {
         match self {
             GangLane::TwoLevel(p) => Some(p.config().hrt),
             GangLane::LeeSmith(p) => Some(p.config().hrt),
             GangLane::StaticTraining(p) => Some(p.config().hrt),
-            GangLane::Profile(_) | GangLane::Dyn(_) => None,
+            _ => None,
         }
     }
 }
@@ -366,6 +439,48 @@ fn replay_slot_log<P: RunPack>(planes: &mut P, log: &[u32], compiled: &CompiledT
     }
 }
 
+/// Adds the score of a lane whose guess at every event is its site's
+/// bit in `site_bits`: per site, the taken count if the bit says taken,
+/// else the not-taken count.
+fn score_per_site(site_bits: &[bool], compiled: &CompiledTrace, stat: &mut PredictionStats) {
+    for ((&bit, &taken_n), &n) in site_bits
+        .iter()
+        .zip(compiled.site_taken())
+        .zip(compiled.site_counts())
+    {
+        stat.predicted += n;
+        stat.correct += if bit { taken_n } else { n - taken_n };
+    }
+}
+
+/// Adds a fixed rule's score over the stream: the per-site sum at each
+/// site's target, then an exact correction for each event whose target
+/// differs from its site's ([`CompiledTrace::target_overrides`]) and
+/// flips the rule's guess — only BTFN reads the target, and compiled
+/// code gives a pc one target, so the correction is empty on the
+/// workloads.
+fn score_fixed_rule(rule: FixedRule, compiled: &CompiledTrace, stat: &mut PredictionStats) {
+    let pcs = compiled.site_pcs();
+    let site_bits: Vec<bool> = pcs
+        .iter()
+        .zip(compiled.site_targets())
+        .map(|(&pc, &target)| rule.guess(pc, target))
+        .collect();
+    score_per_site(&site_bits, compiled, stat);
+    for &(event, target) in compiled.target_overrides() {
+        let site = compiled.cond_sites()[event] as usize;
+        let guess = rule.guess(pcs[site], target);
+        if guess != site_bits[site] {
+            // The site sum counted this event as the opposite guess.
+            if guess == compiled.outcomes().get(event) {
+                stat.correct += 1;
+            } else {
+                stat.correct -= 1;
+            }
+        }
+    }
+}
+
 /// Simulates every lane over `compiled` in a single walk. Returns one
 /// [`SimResult`] per lane, in lane order.
 ///
@@ -375,8 +490,9 @@ fn replay_slot_log<P: RunPack>(planes: &mut P, log: &[u32], compiled: &CompiledT
 /// (RAS behaviour is predictor-independent). Monomorphized lanes read
 /// the `(site, taken)` stream with site-resolved table coordinates
 /// ([`TwoLevelAdaptive::predict_update_site`],
-/// [`LeeSmithBtb::predict_update_site`]); dyn lanes read the stream's
-/// rebuilt conditional records. Results are bit-identical to running
+/// [`LeeSmithBtb::predict_update_site`], and the like) or score per
+/// site; dyn lanes read the stream's rebuilt conditional records.
+/// Results are bit-identical to running
 /// each lane alone through [`crate::simulate_with`] over the trace the
 /// stream was compiled from (pinned by tests).
 ///
@@ -470,7 +586,10 @@ pub fn gang_simulate_compiled(
     let mut scalar_consumers = false;
     for (i, lane) in lanes.iter().enumerate() {
         match lane {
-            GangLane::StaticTraining(_) => scalar_consumers = true,
+            GangLane::StaticTraining(_)
+            | GangLane::Variant(_)
+            | GangLane::Gshare(_)
+            | GangLane::Tournament(_) => scalar_consumers = true,
             GangLane::TwoLevel(_) => {
                 if !at_packed[i] {
                     scalar_consumers = true;
@@ -484,7 +603,7 @@ pub fn gang_simulate_compiled(
                 }
                 *seen += 1;
             }
-            GangLane::Profile(_) | GangLane::Dyn(_) => {}
+            GangLane::Profile(_) | GangLane::Fixed(_) | GangLane::Dyn(_) => {}
         }
     }
     // Packed LS lanes count toward shared-SlotProbe eligibility: in a
@@ -519,7 +638,14 @@ pub fn gang_simulate_compiled(
     let mut at_slots: Vec<(usize, &mut TwoLevelAdaptive, &mut PredictionStats)> = Vec::new();
     let mut ls_slots: Vec<(usize, &mut LeeSmithBtb, &mut PredictionStats)> = Vec::new();
     let mut st_slots: Vec<(usize, &mut StaticTraining, &mut PredictionStats)> = Vec::new();
+    let mut var_lanes: Vec<(&mut TwoLevelVariant, &mut PredictionStats)> = Vec::new();
+    let mut gs_lanes: Vec<(&mut Gshare, &mut PredictionStats)> = Vec::new();
+    let mut tour_lanes: Vec<(
+        &mut Tournament<TwoLevelAdaptive, Gshare>,
+        &mut PredictionStats,
+    )> = Vec::new();
     let mut prof_lanes: Vec<(&mut ProfilePredictor, &mut PredictionStats)> = Vec::new();
+    let mut fixed_lanes: Vec<(FixedRule, &mut PredictionStats)> = Vec::new();
     let mut dyn_lanes: Vec<(&mut Box<dyn Predictor>, &mut PredictionStats)> = Vec::new();
     let mut pack_groups: HashMap<HrtConfig, Vec<(&mut LeeSmithBtb, &mut PredictionStats)>> =
         HashMap::new();
@@ -568,10 +694,23 @@ pub fn gang_simulate_compiled(
                     st_lanes.push((p, stat));
                 }
             },
+            GangLane::Variant(p) => {
+                p.bind_sites(&mut resolver);
+                var_lanes.push((p, stat));
+            }
+            GangLane::Gshare(p) => {
+                p.bind_sites(&resolver);
+                gs_lanes.push((p, stat));
+            }
+            GangLane::Tournament(p) => {
+                p.bind_sites(&mut resolver);
+                tour_lanes.push((p, stat));
+            }
             GangLane::Profile(p) => {
                 p.bind_sites(&resolver);
                 prof_lanes.push((p, stat));
             }
+            GangLane::Fixed(rule) => fixed_lanes.push((*rule, stat)),
             GangLane::Dyn(p) => dyn_lanes.push((p, stat)),
         }
     }
@@ -734,6 +873,15 @@ pub fn gang_simulate_compiled(
             for (p, stat) in &mut st_lanes {
                 stat.record(p.predict_update_site(site, taken) == taken);
             }
+            for (p, stat) in &mut var_lanes {
+                stat.record(p.predict_update_site(site, taken) == taken);
+            }
+            for (p, stat) in &mut gs_lanes {
+                stat.record(p.predict_update_site(site, taken) == taken);
+            }
+            for (p, stat) in &mut tour_lanes {
+                stat.record(p.predict_update_site(site, taken) == taken);
+            }
             // Churny stream: packs advance every lane in one
             // branchless plane step off the probe the slot-path lanes
             // above already consumed.
@@ -842,19 +990,14 @@ pub fn gang_simulate_compiled(
     for (ei, p, _) in &mut st_slots {
         p.adopt_probe_stats(engines[*ei].stats());
     }
-    // A profile lane's bits are frozen, so its score over the stream
-    // is a per-site weighted sum — identical to recording every event,
-    // with no per-event work at all.
+    // Profile bits are frozen and fixed rules never train, so their
+    // scores over the stream are per-site weighted sums — identical to
+    // recording every event, with no per-event work at all.
     for (p, stat) in &mut prof_lanes {
-        for ((&bit, &taken_n), &n) in p
-            .site_bits()
-            .iter()
-            .zip(compiled.site_taken())
-            .zip(compiled.site_counts())
-        {
-            stat.predicted += n;
-            stat.correct += if bit { taken_n } else { n - taken_n };
-        }
+        score_per_site(p.site_bits(), compiled, stat);
+    }
+    for (rule, stat) in &mut fixed_lanes {
+        score_fixed_rule(*rule, compiled, stat);
     }
     // Dyn lanes read the conditional records rebuilt from the stream
     // (pc, exact target, outcome); a lane observes only its own
@@ -971,8 +1114,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::TrainingData;
+    use crate::config::{table2, taxonomy, TrainingData};
     use crate::engine::simulate_with;
+    use crate::experiment::sweep_specs;
     use tlat_core::{AutomatonKind, GshareConfig, HrtConfig, VariantConfig};
     use tlat_trace::{BranchClass, BranchRecord};
     use tlat_workloads::SyntheticStream;
@@ -1001,39 +1145,47 @@ mod tests {
             GangLane::TwoLevel(p) => p,
             GangLane::LeeSmith(p) => p,
             GangLane::StaticTraining(p) => p,
+            GangLane::Variant(p) => p,
+            GangLane::Gshare(p) => p,
+            GangLane::Tournament(p) => p,
             GangLane::Profile(p) => p,
+            GangLane::Fixed(p) => p,
             GangLane::Dyn(p) => p.as_mut(),
         }
     }
 
-    /// Walks `lanes` as one gang over `compiled` and asserts each
-    /// result equals the lane's configuration run alone through
-    /// [`simulate_with`] over `trace` — the reference oracle. Returns
-    /// the solo-run lanes so callers can pin table statistics too.
+    /// Walks `gang` over `compiled` and asserts each result equals the
+    /// matching `solo` lane (a fresh build of the same predictor) run
+    /// alone through [`simulate_with`] over `trace` — the reference
+    /// oracle. Returns the solo-run lanes so callers can pin table
+    /// statistics too.
     fn assert_gang_matches_solo(
-        configs: &[SchemeConfig],
         gang: &mut [GangLane],
+        mut solo: Vec<GangLane>,
         compiled: &CompiledTrace,
         trace: &Trace,
         options: SimOptions,
     ) -> Vec<GangLane> {
+        assert_eq!(gang.len(), solo.len());
         let ganged = gang_simulate_compiled(gang, compiled, None, options);
-        let mut solo = lanes(configs, trace);
-        for ((config, lane), got) in configs.iter().zip(&mut solo).zip(&ganged) {
+        for (lane, got) in solo.iter_mut().zip(&ganged) {
+            let name = lane.name();
             let want = simulate_with(predictor(lane), trace, options);
-            assert_eq!(got.conditional, want.conditional, "{}", config.label());
-            assert_eq!(got.ras, want.ras, "{}", config.label());
+            assert_eq!(got.conditional, want.conditional, "{name}");
+            assert_eq!(got.ras, want.ras, "{name}");
         }
         solo
     }
 
-    /// [`assert_gang_matches_solo`] over `trace`'s own compilation,
-    /// also pinning every LS and AT lane's adopted table statistics
-    /// against what the solo lane's own probing counted.
+    /// [`assert_gang_matches_solo`] for one lane per configuration over
+    /// `trace`'s own compilation, also pinning every LS, AT and
+    /// taxonomy lane's table statistics against what the solo lane's
+    /// own probing counted.
     fn gang_matches_solo(configs: &[SchemeConfig], trace: &Trace, options: SimOptions) {
         let mut gang = lanes(configs, trace);
         let compiled = CompiledTrace::compile(trace);
-        let solo = assert_gang_matches_solo(configs, &mut gang, &compiled, trace, options);
+        let solo =
+            assert_gang_matches_solo(&mut gang, lanes(configs, trace), &compiled, trace, options);
         for (g, s) in gang.iter().zip(&solo) {
             match (g, s) {
                 (GangLane::LeeSmith(a), GangLane::LeeSmith(b)) => {
@@ -1042,9 +1194,37 @@ mod tests {
                 (GangLane::TwoLevel(a), GangLane::TwoLevel(b)) => {
                     assert_eq!(a.hrt_stats(), b.hrt_stats(), "{}", a.name());
                 }
+                (GangLane::Variant(a), GangLane::Variant(b)) => {
+                    assert_eq!(a.hrt_stats(), b.hrt_stats(), "{}", a.name());
+                }
                 _ => {}
             }
         }
+    }
+
+    /// A hand-written predictor no [`SchemeConfig`] builds, so it rides
+    /// a [`GangLane::Dyn`] lane: it guesses BTFN's direction flipped by
+    /// the pc's last outcome, so it reads every event's target and
+    /// trains on every outcome.
+    #[derive(Default)]
+    struct BackwardXorLast {
+        last: HashMap<u32, bool>,
+    }
+
+    impl Predictor for BackwardXorLast {
+        fn name(&self) -> String {
+            "BackwardXorLast".to_owned()
+        }
+        fn predict(&mut self, branch: &BranchRecord) -> bool {
+            branch.is_backward() ^ self.last.get(&branch.pc).copied().unwrap_or(false)
+        }
+        fn update(&mut self, branch: &BranchRecord) {
+            self.last.insert(branch.pc, branch.taken);
+        }
+    }
+
+    fn hand_written_lane() -> GangLane {
+        GangLane::Dyn(Box::new(BackwardXorLast::default()))
     }
 
     #[test]
@@ -1070,9 +1250,79 @@ mod tests {
     }
 
     #[test]
+    fn taxonomy_lanes_walk_sites_across_every_organization() {
+        // The taxonomy sweep itself, plus every per-address variant on
+        // each HRT organization (a tiny 2-way table forces evictions)
+        // and both global-history variants at another length, beside
+        // AT lanes that pack or share a probe on the same geometries:
+        // every lane bit-identical to its solo run, the variants' HRT
+        // statistics included, on both stream shapes.
+        let small = HrtConfig::Associative {
+            entries: 16,
+            ways: 2,
+        };
+        let mut configs = taxonomy();
+        for hrt in [HrtConfig::Ideal, small, HrtConfig::hhrt(32)] {
+            configs.push(SchemeConfig::Variant(VariantConfig::pag(
+                8,
+                AutomatonKind::A3,
+                hrt,
+            )));
+            configs.push(SchemeConfig::Variant(VariantConfig::pas(
+                6,
+                AutomatonKind::LastTime,
+                hrt,
+                4,
+            )));
+        }
+        configs.push(SchemeConfig::Variant(VariantConfig::gag(
+            6,
+            AutomatonKind::A4,
+        )));
+        configs.push(SchemeConfig::Variant(VariantConfig::gas(
+            9,
+            AutomatonKind::A1,
+            8,
+        )));
+        configs.push(SchemeConfig::Gshare(GshareConfig {
+            history_bits: 5,
+            automaton: AutomatonKind::A3,
+        }));
+        configs.push(SchemeConfig::Tournament { chooser_entries: 4 });
+        configs.push(SchemeConfig::at(small, 8, AutomatonKind::A2));
+        for trace in [
+            SyntheticStream::mixed(0x7a40, 96).generate(6_000),
+            loop_heavy_trace(6_000),
+        ] {
+            gang_matches_solo(&configs, &trace, SimOptions { ras_entries: 8 });
+        }
+    }
+
+    #[test]
     fn dyn_only_gangs_walk_the_stream() {
         let trace = SyntheticStream::mixed(0xd1, 16).generate(2_000);
-        let configs = vec![SchemeConfig::Btfn, SchemeConfig::AlwaysTaken];
+        let compiled = CompiledTrace::compile(&trace);
+        let build = || vec![hand_written_lane(), hand_written_lane()];
+        assert_gang_matches_solo(
+            &mut build(),
+            build(),
+            &compiled,
+            &trace,
+            SimOptions::default(),
+        );
+    }
+
+    #[test]
+    fn fixed_rule_gangs_score_per_site() {
+        // No lane needs the per-event loop: the fixed rules and the
+        // profile lane are scored from the per-site counts alone.
+        let trace = SyntheticStream::mixed(0xd1, 16).generate(2_000);
+        let configs = vec![
+            SchemeConfig::Btfn,
+            SchemeConfig::AlwaysTaken,
+            SchemeConfig::AlwaysNotTaken,
+            SchemeConfig::Profile,
+        ];
         gang_matches_solo(&configs, &trace, SimOptions::default());
     }
 
@@ -1080,9 +1330,11 @@ mod tests {
     fn dyn_lanes_read_exact_targets_from_the_stream() {
         // One conditional pc flips between a backward and a forward
         // target (BTFN's answer flips with it), and one conditional is
-        // also a call (its push reaches the RAS). Dyn lanes must see
-        // every event's own target, whether the stream was compiled
-        // from the records or decoded from TLA3 packets.
+        // also a call (its push reaches the RAS). BTFN's per-site score
+        // must correct every overridden event exactly, and the
+        // hand-written dyn lane must see every event's own target,
+        // whether the stream was compiled from the records or decoded
+        // from TLA3 packets.
         let mut trace = Trace::new();
         for i in 0..3_000u32 {
             let target = if i % 5 < 2 { 0x0f00 } else { 0x1400 };
@@ -1114,29 +1366,54 @@ mod tests {
                 16,
             )),
         ];
+        let build = || {
+            let mut gang = lanes(&configs, &trace);
+            gang.push(hand_written_lane());
+            gang
+        };
         let options = SimOptions::default();
         let compiled = CompiledTrace::compile(&trace);
         let decoded = tlat_trace::packet::decode_compiled(&tlat_trace::packet::encode(&trace))
             .expect("round trip");
         for stream in [&compiled, &decoded] {
-            let mut gang = lanes(&configs, &trace);
-            assert!(gang.iter().all(|lane| matches!(lane, GangLane::Dyn(_))));
-            assert_gang_matches_solo(&configs, &mut gang, stream, &trace, options);
+            assert!(!stream.target_overrides().is_empty());
+            let mut gang = build();
+            assert!(matches!(gang[0], GangLane::Fixed(FixedRule::Btfn)));
+            assert!(matches!(gang[1], GangLane::Fixed(FixedRule::AlwaysTaken)));
+            assert!(matches!(gang[2], GangLane::Gshare(_)));
+            assert!(matches!(gang[3], GangLane::Tournament(_)));
+            assert!(matches!(gang[4], GangLane::Variant(_)));
+            assert!(matches!(gang[5], GangLane::Dyn(_)));
+            assert_gang_matches_solo(&mut gang, build(), stream, &trace, options);
         }
     }
 
     #[test]
-    fn monomorphized_lanes_are_used_for_the_common_schemes() {
-        let lanes = lanes(&sweep(), &Trace::new());
+    fn every_config_builds_a_monomorphized_lane() {
+        let training = SyntheticStream::mixed(0x11, 8).generate(500);
+        let mut configs = table2();
+        configs.extend(taxonomy());
+        configs.extend(sweep_specs().into_iter().flat_map(|spec| spec.configs));
+        configs.push(SchemeConfig::AlwaysNotTaken);
+        for config in &configs {
+            let lane = GangLane::from_config(config, Some(&training));
+            assert!(
+                !matches!(lane, GangLane::Dyn(_)),
+                "{} is dyn",
+                config.label()
+            );
+        }
+        let lanes = lanes(&sweep(), &training);
         assert!(matches!(lanes[0], GangLane::TwoLevel(_)));
         assert!(matches!(lanes[1], GangLane::LeeSmith(_)));
         assert!(matches!(lanes[2], GangLane::StaticTraining(_)));
-        assert!(matches!(lanes[3], GangLane::Dyn(_))); // BTFN
+        assert!(matches!(lanes[3], GangLane::Fixed(FixedRule::Btfn)));
         assert!(matches!(lanes[4], GangLane::Profile(_)));
         // Lane names still come through for diagnostics.
         assert!(lanes[0].name().starts_with("AT("));
         assert!(format!("{:?}", lanes[1]).contains("LS("));
         assert!(lanes[2].name().starts_with("ST("));
+        assert_eq!(lanes[3].name(), "BTFN");
         assert_eq!(lanes[4].name(), "Profile");
     }
 

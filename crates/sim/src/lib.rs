@@ -91,7 +91,7 @@ pub use error::SimError;
 pub use experiment::{sweep_spec, sweep_specs, Harness, SweepSpec};
 pub use faults::Faults;
 pub use fetch::{simulate_fetch, FetchOptions, FetchResult};
-pub use gang::{gang_simulate_compiled, gang_simulate_isolated, GangLane};
+pub use gang::{gang_simulate_compiled, gang_simulate_isolated, FixedRule, GangLane};
 pub use journal::SweepJournal;
 pub use stats::{PredictionStats, SimResult};
 pub use pool::{run_isolated, threads_from_env, CellPanic};

@@ -17,8 +17,9 @@
 //! Each site's branch target rides along too (one per site, plus an
 //! exact sparse per-event override for a pc whose target varies), so
 //! predictors that read more than the site — BTFN's direction bit, the
-//! record-fed dyn lanes — see exactly the records they would have seen
-//! ([`CompiledTrace::conditional_records`]). Returns, calls, and
+//! record-fed dyn lanes — see exactly the targets they would have seen
+//! ([`CompiledTrace::site_targets`], [`CompiledTrace::target_overrides`],
+//! [`CompiledTrace::conditional_records`]). Returns, calls, and
 //! instruction gaps are carried alongside (as [`RasEvent`]s and a gap
 //! vector) for the shared return-address-stack and timing paths, so a
 //! walk never needs the original trace.
@@ -315,6 +316,20 @@ impl CompiledTrace {
     /// `SiteId → pc`, in first-appearance order.
     pub fn site_pcs(&self) -> &[u32] {
         &self.site_pcs
+    }
+
+    /// `SiteId → target` of the site's first event (parallel to
+    /// [`CompiledTrace::site_pcs`]).
+    pub fn site_targets(&self) -> &[u32] {
+        &self.site_targets
+    }
+
+    /// `(event index, target)` for each conditional event whose target
+    /// differs from its site's first target, in stream order; every
+    /// other event's target is its site's
+    /// ([`CompiledTrace::site_targets`]).
+    pub fn target_overrides(&self) -> &[(usize, u32)] {
+        &self.target_overrides
     }
 
     /// The interned site of each dynamic conditional branch, in trace
