@@ -10,12 +10,13 @@
 //! up front, matching the harness (which memoizes one
 //! [`tlat_trace::CompiledTrace`] per workload); the once-per-workload
 //! compile cost is reported separately as `stream_compile`. Run with
-//! `cargo bench --bench gang_inner`; nine BENCHJSON lines are emitted
+//! `cargo bench --bench gang_inner`; eleven BENCHJSON lines are emitted
 //! (`inner_solo_engine`, `inner_compiled_walk`, `stream_compile`,
 //! `inner_bitsliced_solo`, `inner_bitsliced_walk`,
 //! `inner_at_pack_solo`, `inner_at_pack_walk`, `inner_taxonomy_solo`,
-//! `inner_taxonomy_walk`) plus derived speedup lines, each an in-run
-//! ratio of a walk to its solo baseline. The bitsliced
+//! `inner_taxonomy_walk`, `inner_group_solo`, `inner_group_churny`)
+//! plus derived speedup lines, each an in-run ratio of a walk to its
+//! solo baseline. The bitsliced
 //! pair measures an all-Lee-&-Smith lane set that the gang engine
 //! packs into one two-plane [`tlat_core::LanePack`]; the AT-pack pair
 //! measures a fig10-shaped variant × history-length Two-Level grid
@@ -23,12 +24,17 @@
 //! pattern-table row planes) — each isolating its plane-stepped walk
 //! from the mixed-lane set above. The taxonomy pair measures the
 //! taxonomy sweep's lanes (GAg/GAs/PAg/PAs, AT, gshare and the AT +
-//! gshare tournament), which the walk drives by site id, unpacked.
+//! gshare tournament), which the walk runs as grouped scalar lanes on
+//! shared level-one sources. The grouped pair adds Figure 7's four
+//! history lengths to the taxonomy lanes on the churny synthetic
+//! stream, where no AT lane packs (every history mask is a singleton):
+//! eleven scalar lanes on one per-address source and one global
+//! register.
 
 use tlat_bench::runner::Runner;
 use tlat_core::{AutomatonKind, HrtConfig};
 use tlat_sim::gang::{gang_simulate_compiled, GangLane};
-use tlat_sim::{simulate_with, taxonomy, SchemeConfig, SimOptions};
+use tlat_sim::{simulate_with, sweep_spec, taxonomy, SchemeConfig, SimOptions};
 use tlat_trace::{CompiledTrace, Trace};
 use tlat_workloads::SyntheticStream;
 
@@ -170,6 +176,36 @@ fn main() {
         println!(
             "[gang_inner] taxonomy walk vs per-config engine: {:.2}x",
             tax_solo.median_ns / tax_walk.median_ns
+        );
+    }
+
+    // Figure 7's four-mask AT grid plus the taxonomy lanes on the
+    // churny stream: every lane stays scalar, grouped onto one
+    // per-address source (the AHRT(512) AT, PAg, PAs and tournament
+    // lanes) and the global register (GAg, GAs, gshare).
+    let mut group_configs = sweep_spec("fig7").expect("registered sweep").configs;
+    group_configs.extend(taxonomy());
+    let churny = stream.len() < 3 * stream.site_run_count();
+    println!(
+        "[gang_inner] grouped lanes on a {} stream (mean same-site run {:.2})",
+        if churny { "churny" } else { "loop-heavy" },
+        stream.len() as f64 / stream.site_run_count().max(1) as f64
+    );
+    let group_events = trace.conditional_len() as u64 * group_configs.len() as u64;
+    group.plan(1, 7);
+    let group_solo = group
+        .throughput(group_events)
+        .bench("inner_group_solo", || solo_walks(&group_configs, &trace));
+    group.plan(1, 7);
+    let group_walk = group
+        .throughput(group_events)
+        .bench("inner_group_churny", || {
+            gang_walk(&group_configs, &trace, &stream)
+        });
+    if group_walk.median_ns > 0.0 {
+        println!(
+            "[gang_inner] grouped churny walk vs per-config engine: {:.2}x",
+            group_solo.median_ns / group_walk.median_ns
         );
     }
 }

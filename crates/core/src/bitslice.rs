@@ -788,8 +788,8 @@ mod tests {
 
     /// One scalar Two-Level lane driven through the exact fused
     /// predict → resolve → train cycle of
-    /// `TwoLevelAdaptive::predict_update_slot`, minus the HRT (the
-    /// caller owns slot discipline for packs too).
+    /// `TwoLevelAdaptive::predict_update`, minus the HRT (the caller
+    /// owns slot discipline for packs too).
     struct ScalarAtLane {
         spec: AtLaneConfig,
         table: crate::pattern::PatternTable,

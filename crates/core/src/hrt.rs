@@ -133,15 +133,14 @@ pub trait HistoryTable<E> {
 
 /// The ideal history-register table: unbounded, one entry per branch.
 ///
-/// Entries live in a flat `Vec`, indexed by allocation order; the
-/// side `pc → slot` index only serves the per-pc lookup path. When a
-/// trace has been compiled ([`tlat_trace::CompiledTrace`]) the interned
-/// [`SiteId`]s *are* the allocation order (both are first-appearance
-/// order), so the site path reaches an entry by direct index — no
-/// hashing per lane per branch.
+/// Entries live in a flat `Vec`, indexed by allocation order through
+/// a side `pc → slot` index. When a trace has been compiled
+/// ([`tlat_trace::CompiledTrace`]) the interned [`SiteId`]s *are* the
+/// allocation order (both are first-appearance order), so a gang walk
+/// reaches a site's slot by direct index — no hashing per branch.
 #[derive(Debug, Clone)]
 pub struct Ihrt<E> {
-    /// `pc → slot` (the per-pc path's index; the site path bypasses it).
+    /// `pc → slot`.
     index: HashMap<u32, u32>,
     /// Entries in allocation (first-appearance) order.
     slots: Vec<E>,
@@ -168,27 +167,6 @@ impl<E> Ihrt<E> {
         self.slots.is_empty()
     }
 
-    /// Site-indexed lookup: `site` must be the pc's interned id from
-    /// the same event stream this table has been driven with, so a
-    /// fresh site is exactly the next slot to allocate.
-    #[inline]
-    fn get_or_allocate_site(&mut self, site: SiteId, pc: u32, init: impl FnOnce() -> E) -> (&mut E, bool) {
-        self.stats.accesses += 1;
-        if (site as usize) < self.slots.len() {
-            return (&mut self.slots[site as usize], true);
-        }
-        debug_assert_eq!(
-            site as usize,
-            self.slots.len(),
-            "site ids must arrive in interning order"
-        );
-        self.stats.misses += 1;
-        // Keep the pc index coherent so mixed site/pc access works.
-        self.index.insert(pc, site);
-        self.slots.push(init());
-        let entry = self.slots.last_mut().expect("just pushed");
-        (entry, false)
-    }
 }
 
 impl<E> Default for Ihrt<E> {
@@ -226,8 +204,8 @@ impl<E> HistoryTable<E> for Ihrt<E> {
 }
 
 /// What one set-associative probe decided: a tag hit, a miss filling
-/// an invalid way, or a miss replacing the LRU victim. Replayed to
-/// same-geometry lanes by a [`SlotProbe`].
+/// an invalid way, or a miss replacing the LRU victim. Reported per
+/// access by a [`SlotProbe`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProbeOutcome {
     /// A way held the tag; its entry is reused.
@@ -239,8 +217,8 @@ pub enum ProbeOutcome {
     Replaced,
 }
 
-/// One replayed AHRT probe decision: which absolute way index the
-/// access resolved to, and how.
+/// One AHRT probe decision: which absolute way index the access
+/// resolved to, and how.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Probe {
     /// Absolute way index (`set * assoc + way`).
@@ -412,36 +390,9 @@ impl<E: Clone> Ahrt<E> {
         }
     }
 
-    /// Applies a replayed [`Probe`] decision to this table: entry
-    /// initialization and every prediction that follows end up exactly
-    /// as [`probe`](Ahrt::probe) on the same access sequence would
-    /// leave them — the scan and victim search were paid once, by the
-    /// shared [`SlotProbe`].
-    ///
-    /// The lane's own tag/stamp metadata and access statistics are not
-    /// touched: the engine's copies are the source of truth for the
-    /// whole walk (a slot-replayed walk drives *every* access, so the
-    /// stale metadata is never consulted), and the engine's statistics
-    /// — identical for every lane in the group — are folded back once
-    /// via [`Ahrt::adopt_probe_stats`].
-    #[inline]
-    fn slot_entry(&mut self, p: Probe, init: impl FnOnce() -> E) -> &mut E {
-        let way = &mut self.ways[p.slot as usize];
-        match p.outcome {
-            ProbeOutcome::Hit => {}
-            ProbeOutcome::Filled => way.entry = init(),
-            ProbeOutcome::Replaced => {
-                if self.reinit_on_replace {
-                    way.entry = init();
-                }
-            }
-        }
-        &mut way.entry
-    }
-
     /// Accumulates a shared [`SlotProbe`]'s access statistics into this
-    /// table, after a slot-replayed walk: the engine counted the
-    /// group's (identical) accesses and misses once, so the lane's
+    /// table, after a gang walk: the engine counted the group's
+    /// (identical) accesses and misses once, so the lane's
     /// [`stats`](HistoryTable::stats) report exactly what per-lane
     /// probing would have counted.
     fn adopt_probe_stats(&mut self, stats: HrtStats) {
@@ -522,14 +473,6 @@ impl<E: Clone> Hhrt<E> {
         hash_slot(pc, self.slots.len())
     }
 
-    /// Slot-indexed lookup: `slot` is the pc's hash slot, precomputed
-    /// per site by [`SiteKeys`]. Same statistics as the per-pc path (a
-    /// tagless table always "hits").
-    #[inline]
-    fn get_or_allocate_slot(&mut self, slot: u32) -> (&mut E, bool) {
-        self.stats.accesses += 1;
-        (&mut self.slots[slot as usize], true)
-    }
 }
 
 impl<E: Clone> HistoryTable<E> for Hhrt<E> {
@@ -585,65 +528,10 @@ impl<E: Clone> AnyHrt<E> {
             a.set_reinit_on_replace(reinit);
         }
     }
-}
-
-impl<E: Clone> AnyHrt<E> {
-    /// Site-indexed lookup through precomputed [`SiteKeys`]: behaviour
-    /// and statistics are identical to
-    /// [`get_or_allocate`](HistoryTable::get_or_allocate) on the site's
-    /// pc, but the table's set/tag/slot arithmetic (and, for the ideal
-    /// table, the pc hash) has already been paid once per trace instead
-    /// of per lane per branch.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `keys` was resolved for a different organization
-    /// than this table.
-    #[inline]
-    pub fn get_or_allocate_site(
-        &mut self,
-        site: SiteId,
-        keys: &SiteKeys,
-        init: impl FnOnce() -> E,
-    ) -> (&mut E, bool) {
-        let site = site as usize;
-        match (self, keys) {
-            (AnyHrt::Ideal(t), SiteKeys::Ideal { pcs }) => {
-                t.get_or_allocate_site(site as SiteId, pcs[site], init)
-            }
-            (AnyHrt::Associative(t), SiteKeys::Associative { key }) => {
-                let k = key[site];
-                t.probe((k >> 32) as usize, k as u32, init)
-            }
-            (AnyHrt::Hashed(t), SiteKeys::Hashed { slot }) => t.get_or_allocate_slot(slot[site]),
-            _ => panic!("site keys were resolved for a different HRT organization"),
-        }
-    }
-
-    /// Applies a [`Probe`] decision replayed by a same-geometry
-    /// [`SlotProbe`]: predictions, entry state, and statistics are
-    /// identical to
-    /// [`get_or_allocate_site`](AnyHrt::get_or_allocate_site) on the
-    /// same access, but the tag scan and victim search were paid once
-    /// for every lane sharing the geometry instead of per lane (the
-    /// lane's own tag/stamp metadata goes stale — the engine owns it
-    /// for the duration of the walk).
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-associative organizations (slot probes only exist
-    /// for set-associative geometry).
-    #[inline]
-    pub fn slot_entry(&mut self, probe: Probe, init: impl FnOnce() -> E) -> &mut E {
-        match self {
-            AnyHrt::Associative(t) => t.slot_entry(probe, init),
-            _ => panic!("slot probes only drive set-associative tables"),
-        }
-    }
 
     /// Accumulates externally-counted access statistics into this
-    /// table, after a walk that probed on the table's behalf: a shared
-    /// [`SlotProbe`] for a slot-replayed walk, or the per-pack probe
+    /// table, after a gang walk that probed on the table's behalf: a
+    /// level-one source of grouped scalar lanes, or the per-pack probe
     /// driver of a bitsliced walk (any organization). Either way the
     /// engine counted exactly what per-lane probing would have, so the
     /// lane's [`stats`](HistoryTable::stats) report is unchanged by
@@ -665,9 +553,10 @@ impl<E: Clone> AnyHrt<E> {
 /// sequence during a gang walk, starts from the same pre-warmed state,
 /// and therefore makes byte-identical tag/LRU decisions on every
 /// event. A `SlotProbe` carries that decision state once — a payload-
-/// free [`Ahrt`] — and replays each event's [`Probe`] to every lane in
-/// the group ([`AnyHrt::slot_entry`]), so the per-event way scan and
-/// victim search are paid once per geometry instead of once per lane.
+/// free [`Ahrt`] — and reports each event's [`Probe`] (slot and
+/// fill/replace outcome), so the per-event way scan and victim search
+/// are paid once per geometry instead of once per lane; the lanes
+/// keep their per-slot state in their own dense arrays.
 #[derive(Debug, Clone)]
 pub struct SlotProbe {
     table: Ahrt<()>,
@@ -755,16 +644,15 @@ impl<E: Clone> HistoryTable<E> for AnyHrt<E> {
 /// Precomputed table coordinates for every interned site of one
 /// compiled trace, under one HRT organization.
 ///
-/// A gang walk re-derives each branch's table coordinates — IHRT hash,
-/// AHRT set/tag (a real division), HHRT mask — once per lane per
-/// branch. `SiteKeys` pays that arithmetic once per trace: index by
+/// A per-pc walk re-derives each branch's table coordinates — IHRT
+/// hash, AHRT set/tag (a real division), HHRT mask — on every branch.
+/// `SiteKeys` pays that arithmetic once per trace: index by
 /// [`SiteId`] and the coordinates come back resolved. Built from the
 /// same helpers the per-pc paths use, so the two cannot disagree.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SiteKeys {
     /// Ideal table: the site id itself is the slot (interning order is
-    /// allocation order); the pcs ride along to keep the table's pc
-    /// index coherent.
+    /// allocation order); the pcs ride along.
     Ideal {
         /// `SiteId → pc`.
         pcs: Arc<Vec<u32>>,
@@ -1071,49 +959,40 @@ mod tests {
     }
 
     #[test]
-    fn site_path_matches_pc_path_for_every_organization() {
+    fn site_keys_match_the_pc_path_for_every_organization() {
+        // The per-site coordinates are the ones the per-pc lookups
+        // derive: a SlotProbe replays the AHRT's hit/miss decisions
+        // and statistics exactly, and hashed keys name the pc's slot.
         let (events, pcs) = interned_stream(4_000, 61);
         let pcs = Arc::new(pcs);
-        for config in [HrtConfig::Ideal, HrtConfig::ahrt(32), HrtConfig::hhrt(16)] {
-            let keys = SiteKeys::build(config, &pcs);
+        for config in [
+            HrtConfig::ahrt(32),
+            HrtConfig::Associative {
+                entries: 8,
+                ways: 1,
+            },
+        ] {
+            let mut resolver = SiteResolver::new(pcs.to_vec());
+            let mut engine = SlotProbe::build(config, &mut resolver).expect("associative");
             let mut by_pc = AnyHrt::build(config, 0u32);
-            let mut by_site = AnyHrt::build(config, 0u32);
             for (i, &(pc, site)) in events.iter().enumerate() {
-                let (a, hit_a) = by_pc.get_or_allocate(pc, || 1000);
-                let (b, hit_b) = by_site.get_or_allocate_site(site, &keys, || 1000);
-                assert_eq!(hit_a, hit_b, "{config} event {i}");
-                assert_eq!(*a, *b, "{config} event {i}");
-                *a += 1;
-                *b += 1;
+                let (_, hit) = by_pc.get_or_allocate(pc, || 0);
+                let probe = engine.step(site);
+                assert_eq!(
+                    hit,
+                    probe.outcome == ProbeOutcome::Hit,
+                    "{config} event {i}"
+                );
             }
-            assert_eq!(by_pc.stats(), by_site.stats(), "{config}");
+            assert_eq!(by_pc.stats(), engine.stats(), "{config}");
         }
-    }
-
-    #[test]
-    fn ihrt_site_and_pc_paths_share_entries() {
-        let mut t: Ihrt<u32> = Ihrt::new();
-        let (e, hit) = t.get_or_allocate_site(0, 0x1000, || 7);
-        assert!(!hit);
-        *e = 9;
-        // The pc path finds the site-allocated entry (and vice versa).
-        let (e, hit) = t.get_or_allocate(0x1000, || 7);
-        assert!(hit);
-        assert_eq!(*e, 9);
-        let (e, hit) = t.get_or_allocate_site(0, 0x1000, || 7);
-        assert!(hit);
-        assert_eq!(*e, 9);
-        assert_eq!(t.stats().accesses, 3);
-        assert_eq!(t.stats().misses, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "different HRT organization")]
-    fn mismatched_site_keys_are_rejected() {
-        let pcs = Arc::new(vec![0x1000]);
-        let keys = SiteKeys::build(HrtConfig::hhrt(16), &pcs);
-        let mut t = AnyHrt::build(HrtConfig::ahrt(16), 0u32);
-        t.get_or_allocate_site(0, &keys, || 0);
+        let SiteKeys::Hashed { slot } = SiteKeys::build(HrtConfig::hhrt(16), &pcs) else {
+            panic!("hashed organization resolves hashed keys");
+        };
+        for (&pc, &s) in pcs.iter().zip(&slot) {
+            assert_eq!(s as usize, hash_slot(pc, 16));
+        }
+        assert!(SlotProbe::build(HrtConfig::Ideal, &mut SiteResolver::new(vec![])).is_none());
     }
 
     #[test]

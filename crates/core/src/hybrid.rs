@@ -16,11 +16,9 @@
 use tlat_trace::json::{JsonObject, ToJson};
 use crate::automaton::{AnyAutomaton, Automaton, AutomatonKind, A2};
 use crate::history::HistoryRegister;
-use crate::hrt::SiteResolver;
 use crate::pattern::PatternTable;
 use crate::predictor::Predictor;
-use crate::two_level::TwoLevelAdaptive;
-use tlat_trace::{BranchRecord, SiteId};
+use tlat_trace::BranchRecord;
 
 /// Configuration of a [`Gshare`] predictor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,9 +58,6 @@ pub struct Gshare {
     config: GshareConfig,
     history: HistoryRegister,
     table: PatternTable,
-    /// `SiteId → pc >> 2`; empty until
-    /// [`bind_sites`](Gshare::bind_sites).
-    site_addrs: Vec<u32>,
 }
 
 impl Gshare {
@@ -76,45 +71,28 @@ impl Gshare {
             config,
             history: HistoryRegister::new(config.history_bits),
             table: PatternTable::new(config.history_bits, config.automaton),
-            site_addrs: Vec::new(),
         }
     }
 
-    /// Binds this predictor to a compiled trace's interned sites: each
-    /// site's address bits are resolved once, and
-    /// [`predict_update_site`](Gshare::predict_update_site) becomes
-    /// available.
-    pub fn bind_sites(&mut self, resolver: &SiteResolver) {
-        self.site_addrs = resolver.site_pcs().iter().map(|&pc| pc >> 2).collect();
+    /// This predictor's configuration.
+    pub fn config(&self) -> &GshareConfig {
+        &self.config
     }
 
-    /// The predict → resolve → train cycle driven by an interned
-    /// [`SiteId`]; observably identical to [`Predictor::predict`]
-    /// followed by [`Predictor::update`].
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`bind_sites`](Gshare::bind_sites) ran first.
-    #[inline]
-    pub fn predict_update_site(&mut self, site: SiteId, taken: bool) -> bool {
-        let addr = *self
-            .site_addrs
-            .get(site as usize)
-            .expect("bind_sites must run before predict_update_site");
-        let index = self.index_of(addr as usize);
-        let guess = self.table.predict(index);
-        self.table.update(index, taken);
-        self.history.shift(taken);
-        guess
+    /// The pattern table.
+    pub fn pattern_table(&self) -> &PatternTable {
+        &self.table
+    }
+
+    /// The branch-address half of the pattern-table index: the
+    /// table index for `pc` is the history pattern XOR this key. A
+    /// gang walk resolves it once per static site.
+    pub fn pc_key(&self, pc: u32) -> usize {
+        ((pc >> 2) as usize) & (self.table.len() - 1)
     }
 
     fn index(&self, pc: u32) -> usize {
-        self.index_of((pc >> 2) as usize)
-    }
-
-    fn index_of(&self, addr: usize) -> usize {
-        let mask = self.table.len() - 1;
-        (self.history.pattern() ^ addr) & mask
+        self.history.pattern() ^ self.pc_key(pc)
     }
 }
 
@@ -146,16 +124,15 @@ impl Predictor for Gshare {
 ///
 /// The components default to trait objects, so any pair of predictors
 /// combines; the registry's AT + gshare pairing is built concretely
-/// (`Tournament<TwoLevelAdaptive, Gshare>`), which adds a site-driven
-/// cycle ([`predict_update_site`](Tournament::predict_update_site)).
+/// (`Tournament<TwoLevelAdaptive, Gshare>`), which a gang walk drives
+/// through its components' configurations and the chooser's state
+/// codes ([`components`](Tournament::components),
+/// [`chooser_state_bits`](Tournament::chooser_state_bits)).
 pub struct Tournament<A = Box<dyn Predictor>, B = Box<dyn Predictor>> {
     first: A,
     second: B,
     chooser: Vec<AnyAutomaton>,
     chooser_mask: usize,
-    /// `SiteId → chooser entry`; empty until
-    /// [`bind_sites`](Tournament::bind_sites).
-    site_choosers: Vec<u32>,
 }
 
 impl<A: Predictor, B: Predictor> std::fmt::Debug for Tournament<A, B> {
@@ -188,55 +165,27 @@ impl<A, B> Tournament<A, B> {
             // but the chooser corrects within a few disagreements).
             chooser: vec![AnyAutomaton::A2(A2::init_not_taken().update(true)); chooser_entries],
             chooser_mask: chooser_entries - 1,
-            site_choosers: Vec::new(),
         }
     }
 
-    fn chooser_index(&self, pc: u32) -> usize {
+    /// The chooser entry selected by `pc` (low word-address bits).
+    pub fn chooser_index(&self, pc: u32) -> usize {
         ((pc >> 2) as usize) & self.chooser_mask
     }
-}
 
-impl Tournament<TwoLevelAdaptive, Gshare> {
-    /// Binds both components and the chooser to a compiled trace's
-    /// interned sites, making
-    /// [`predict_update_site`](Tournament::predict_update_site)
-    /// available.
-    pub fn bind_sites(&mut self, resolver: &mut SiteResolver) {
-        self.first.bind_sites(resolver);
-        self.second.bind_sites(resolver);
-        self.site_choosers = resolver
-            .site_pcs()
-            .iter()
-            .map(|&pc| self.chooser_index(pc) as u32)
-            .collect();
+    /// The two components, in (first, second) order.
+    pub fn components(&self) -> (&A, &B) {
+        (&self.first, &self.second)
     }
 
-    /// The predict → resolve → train cycle driven by an interned
-    /// [`SiteId`]: each component runs its own site cycle, then the
-    /// chooser — read before it trains — picks the guess and, when the
-    /// components disagree, moves toward the one that was right.
-    /// Guesses are identical to [`Predictor::predict`] followed by
-    /// [`Predictor::update`]: the chooser sees the same two answers,
-    /// and neither component's update depends on the chooser.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`bind_sites`](Tournament::bind_sites) ran first.
-    #[inline]
-    pub fn predict_update_site(&mut self, site: SiteId, taken: bool) -> bool {
-        let index = *self
-            .site_choosers
-            .get(site as usize)
-            .expect("bind_sites must run before predict_update_site");
-        let a = self.first.predict_update_site(site, taken);
-        let b = self.second.predict_update_site(site, taken);
-        let entry = &mut self.chooser[index as usize];
-        let guess = if entry.predict() { b } else { a };
-        if a != b {
-            *entry = entry.update(b == taken);
-        }
-        guess
+    /// The chooser's automaton variant and every entry's 2-bit state
+    /// code (see [`AnyAutomaton::state_bits`]); a state predicting
+    /// taken selects the second component.
+    pub fn chooser_state_bits(&self) -> (AutomatonKind, Vec<u8>) {
+        (
+            self.chooser[0].kind(),
+            self.chooser.iter().map(|e| e.state_bits()).collect(),
+        )
     }
 }
 

@@ -5,7 +5,7 @@ use tlat_trace::json::{JsonObject, ToJson};
 use crate::hrt::SiteResolver;
 use crate::predictor::Predictor;
 use std::collections::HashMap;
-use tlat_trace::{BranchClass, BranchRecord, CompiledTrace, SiteId, Trace};
+use tlat_trace::{BranchClass, BranchRecord, CompiledTrace, Trace};
 
 /// Predicts every branch taken (~60 % accuracy on the paper's mix).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -68,7 +68,7 @@ impl Predictor for Btfn {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProfilePredictor {
     bits: HashMap<u32, bool>,
-    /// Per-trace frozen bits by [`SiteId`], resolved by
+    /// Per-trace frozen bits by [`SiteId`](tlat_trace::SiteId), resolved by
     /// [`bind_sites`](ProfilePredictor::bind_sites); empty until bound.
     site_bits: Vec<bool>,
 }
@@ -115,28 +115,14 @@ impl ProfilePredictor {
 
     /// Binds this predictor to a compiled trace's interned sites: the
     /// frozen per-pc bits are resolved into a dense `SiteId → bit`
-    /// table once, and
-    /// [`predict_update_site`](ProfilePredictor::predict_update_site)
-    /// becomes a single indexed load — no per-branch hashing.
+    /// table once ([`site_bits`](ProfilePredictor::site_bits)) — no
+    /// per-branch hashing.
     pub fn bind_sites(&mut self, resolver: &SiteResolver) {
         self.site_bits = resolver
             .site_pcs()
             .iter()
             .map(|pc| self.bits.get(pc).copied().unwrap_or(true))
             .collect();
-    }
-
-    /// [`Predictor::predict_update`] driven by an interned [`SiteId`]:
-    /// the same frozen bit [`predict`](Predictor::predict) would return
-    /// for the site's pc (unseen branches predict taken).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`bind_sites`](ProfilePredictor::bind_sites) ran
-    /// first (with the resolver of the stream driving this call).
-    #[inline]
-    pub fn predict_update_site(&mut self, site: SiteId, _taken: bool) -> bool {
-        self.site_bits[site as usize]
     }
 
     /// The bound per-site frozen bits (see

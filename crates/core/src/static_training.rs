@@ -13,10 +13,9 @@
 
 use tlat_trace::json::{JsonObject, ToJson};
 use crate::history::HistoryRegister;
-use crate::hrt::{AnyHrt, HistoryTable, HrtConfig, HrtStats, Probe, SiteKeys, SiteResolver};
+use crate::hrt::{AnyHrt, HistoryTable, HrtConfig, HrtStats};
 use crate::predictor::Predictor;
-use std::sync::Arc;
-use tlat_trace::{BranchClass, BranchRecord, CompiledTrace, SiteId, Trace};
+use tlat_trace::{BranchClass, BranchRecord, CompiledTrace, Trace};
 
 /// Configuration of a [`StaticTraining`] predictor.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -150,9 +149,6 @@ pub struct StaticTraining {
     config: StaticTrainingConfig,
     hrt: AnyHrt<StEntry>,
     preset: Vec<bool>,
-    /// Per-trace resolved site keys; set by
-    /// [`bind_sites`](StaticTraining::bind_sites).
-    keys: Option<Arc<SiteKeys>>,
 }
 
 impl StaticTraining {
@@ -184,59 +180,11 @@ impl StaticTraining {
             config,
             hrt,
             preset,
-            keys: None,
         }
     }
 
-    /// Binds this predictor to a compiled trace's interned sites (see
-    /// [`TwoLevelAdaptive::bind_sites`](crate::TwoLevelAdaptive::bind_sites));
-    /// enables [`predict_update_site`](StaticTraining::predict_update_site).
-    pub fn bind_sites(&mut self, resolver: &mut SiteResolver) {
-        self.keys = Some(resolver.keys(self.config.hrt));
-    }
-
-    /// The fused predict → resolve → train cycle of
-    /// [`Predictor::predict_update`], driven by an interned [`SiteId`].
-    /// Observably identical — same guesses, same state, same
-    /// [`HrtStats`] — but the HRT coordinates come from the per-trace
-    /// [`SiteKeys`] table.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`bind_sites`](StaticTraining::bind_sites) ran
-    /// first.
-    #[inline]
-    pub fn predict_update_site(&mut self, site: SiteId, taken: bool) -> bool {
-        let keys = self
-            .keys
-            .as_ref()
-            .expect("bind_sites must run before predict_update_site");
-        let bits = self.config.history_bits;
-        let (hr, _) = self
-            .hrt
-            .get_or_allocate_site(site, keys, || HistoryRegister::new(bits));
-        let pattern = hr.pattern();
-        hr.shift(taken);
-        self.preset[pattern]
-    }
-
-    /// [`predict_update_site`](StaticTraining::predict_update_site)
-    /// with the HRT probe decision replayed from a shared
-    /// [`SlotProbe`](crate::SlotProbe): observably identical, with the
-    /// per-lane way scan already paid.
-    #[inline]
-    pub fn predict_update_slot(&mut self, probe: Probe, taken: bool) -> bool {
-        let bits = self.config.history_bits;
-        let hr = self
-            .hrt
-            .slot_entry(probe, || HistoryRegister::new(bits));
-        let pattern = hr.pattern();
-        hr.shift(taken);
-        self.preset[pattern]
-    }
-
-    /// Folds a shared probe engine's access statistics into this
-    /// predictor's HRT after a slot-replayed walk (see
+    /// Folds a gang walk's level-one access statistics into this
+    /// predictor's HRT: a gang walk probes on the lane's behalf (see
     /// [`AnyHrt::adopt_probe_stats`](crate::AnyHrt::adopt_probe_stats)).
     pub fn adopt_probe_stats(&mut self, stats: HrtStats) {
         self.hrt.adopt_probe_stats(stats);

@@ -16,11 +16,10 @@
 use tlat_trace::json::{JsonObject, ToJson};
 use crate::automaton::AutomatonKind;
 use crate::history::HistoryRegister;
-use crate::hrt::{AnyHrt, HistoryTable, HrtConfig, HrtStats, Probe, SiteKeys, SiteResolver};
+use crate::hrt::{AnyHrt, HistoryTable, HrtConfig, HrtStats};
 use crate::pattern::PatternTable;
 use crate::predictor::Predictor;
-use std::sync::Arc;
-use tlat_trace::{BranchRecord, SiteId};
+use tlat_trace::BranchRecord;
 
 /// Configuration of a [`TwoLevelAdaptive`] predictor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,9 +146,6 @@ pub struct TwoLevelAdaptive {
     config: TwoLevelConfig,
     hrt: AnyHrt<AtEntry>,
     pattern_table: PatternTable,
-    /// Per-trace resolved site keys; set by
-    /// [`bind_sites`](TwoLevelAdaptive::bind_sites).
-    keys: Option<Arc<SiteKeys>>,
 }
 
 impl TwoLevelAdaptive {
@@ -182,81 +178,12 @@ impl TwoLevelAdaptive {
             config,
             hrt,
             pattern_table,
-            keys: None,
         }
     }
 
-    /// Binds this predictor to a compiled trace's interned sites: the
-    /// HRT coordinates of every site are resolved once (shared with
-    /// other same-geometry lanes via `resolver`) and
-    /// [`predict_update_site`](TwoLevelAdaptive::predict_update_site)
-    /// becomes available.
-    pub fn bind_sites(&mut self, resolver: &mut SiteResolver) {
-        self.keys = Some(resolver.keys(self.config.hrt));
-    }
-
-    /// The fused predict → resolve → train cycle of
-    /// [`Predictor::predict_update`], driven by an interned [`SiteId`]
-    /// instead of a [`BranchRecord`]. Observably identical — same
-    /// guesses, same state transitions, same [`HrtStats`] — but the
-    /// HRT coordinates come from the per-trace [`SiteKeys`] table, so
-    /// the per-branch hash/set/tag arithmetic is already paid.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`bind_sites`](TwoLevelAdaptive::bind_sites) ran
-    /// first.
-    #[inline]
-    pub fn predict_update_site(&mut self, site: SiteId, taken: bool) -> bool {
-        let keys = self
-            .keys
-            .as_ref()
-            .expect("bind_sites must run before predict_update_site");
-        let pattern_table = &self.pattern_table;
-        let bits = self.config.history_bits;
-        let (entry, _hit) = self
-            .hrt
-            .get_or_allocate_site(site, keys, || Self::fresh_entry(pattern_table, bits));
-        let old_pattern = entry.history.pattern();
-        let guess = if self.config.cached_prediction {
-            entry.prediction
-        } else {
-            pattern_table.predict(old_pattern)
-        };
-        entry.history.shift(taken);
-        let new_pattern = entry.history.pattern();
-        self.pattern_table.update(old_pattern, taken);
-        entry.prediction = self.pattern_table.predict(new_pattern);
-        guess
-    }
-
-    /// [`predict_update_site`](TwoLevelAdaptive::predict_update_site)
-    /// with the HRT probe decision replayed from a shared
-    /// [`SlotProbe`](crate::SlotProbe) (same geometry, same access
-    /// sequence — see [`AnyHrt::slot_entry`]): observably identical,
-    /// with the per-lane way scan already paid.
-    #[inline]
-    pub fn predict_update_slot(&mut self, probe: Probe, taken: bool) -> bool {
-        let pattern_table = &self.pattern_table;
-        let bits = self.config.history_bits;
-        let entry = self
-            .hrt
-            .slot_entry(probe, || Self::fresh_entry(pattern_table, bits));
-        let old_pattern = entry.history.pattern();
-        let guess = if self.config.cached_prediction {
-            entry.prediction
-        } else {
-            pattern_table.predict(old_pattern)
-        };
-        entry.history.shift(taken);
-        let new_pattern = entry.history.pattern();
-        self.pattern_table.update(old_pattern, taken);
-        entry.prediction = self.pattern_table.predict(new_pattern);
-        guess
-    }
-
-    /// Folds a shared probe engine's access statistics into this
-    /// predictor's HRT after a slot-replayed walk (see
+    /// Folds a gang walk's level-one access statistics into this
+    /// predictor's HRT: a gang walk probes on the lane's behalf, so
+    /// the lane's own table is never touched (see
     /// [`AnyHrt::adopt_probe_stats`]).
     pub fn adopt_probe_stats(&mut self, stats: HrtStats) {
         self.hrt.adopt_probe_stats(stats);

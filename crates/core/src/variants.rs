@@ -24,11 +24,10 @@
 use tlat_trace::json::{JsonObject, ToJson};
 use crate::automaton::AutomatonKind;
 use crate::history::HistoryRegister;
-use crate::hrt::{AnyHrt, HistoryTable, HrtConfig, HrtStats, SiteKeys, SiteResolver};
+use crate::hrt::{AnyHrt, HistoryTable, HrtConfig, HrtStats};
 use crate::pattern::PatternTable;
 use crate::predictor::Predictor;
-use std::sync::Arc;
-use tlat_trace::{BranchRecord, SiteId};
+use tlat_trace::BranchRecord;
 
 /// First-level (history) organization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -186,12 +185,6 @@ pub struct TwoLevelVariant {
     level1: Level1,
     tables: Vec<PatternTable>,
     set_mask: usize,
-    /// Per-trace HRT coordinates of per-address scopes; set by
-    /// [`bind_sites`](TwoLevelVariant::bind_sites).
-    keys: Option<Arc<SiteKeys>>,
-    /// `SiteId → pattern table`; empty until
-    /// [`bind_sites`](TwoLevelVariant::bind_sites).
-    site_tables: Vec<u32>,
 }
 
 impl TwoLevelVariant {
@@ -229,64 +222,7 @@ impl TwoLevelVariant {
             level1,
             tables,
             set_mask: sets - 1,
-            keys: None,
-            site_tables: Vec::new(),
         }
-    }
-
-    /// Binds this predictor to a compiled trace's interned sites: a
-    /// per-address scope's HRT coordinates are resolved once (shared
-    /// with other same-geometry lanes via `resolver`), every site's
-    /// pattern table is looked up once, and
-    /// [`predict_update_site`](TwoLevelVariant::predict_update_site)
-    /// becomes available.
-    pub fn bind_sites(&mut self, resolver: &mut SiteResolver) {
-        if let HistoryScope::PerAddress(hrt) = self.config.history {
-            self.keys = Some(resolver.keys(hrt));
-        }
-        self.site_tables = resolver
-            .site_pcs()
-            .iter()
-            .map(|&pc| self.table_index(pc) as u32)
-            .collect();
-    }
-
-    /// The predict → resolve → train cycle driven by an interned
-    /// [`SiteId`]. Observably identical to [`Predictor::predict`]
-    /// followed by [`Predictor::update`] — same guesses, same state,
-    /// same [`HrtStats`] (the update's `peek` counts nothing) — but a
-    /// per-address scope searches its HRT once, through the per-trace
-    /// [`SiteKeys`], and the pattern table comes from a per-site index.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`bind_sites`](TwoLevelVariant::bind_sites) ran
-    /// first.
-    #[inline]
-    pub fn predict_update_site(&mut self, site: SiteId, taken: bool) -> bool {
-        let table = *self
-            .site_tables
-            .get(site as usize)
-            .expect("bind_sites must run before predict_update_site");
-        let bits = self.config.history_bits;
-        let history = match &mut self.level1 {
-            Level1::Global(hr) => hr,
-            Level1::PerAddress(t) => {
-                let keys = self.keys.as_ref().expect("per-address scopes bind keys");
-                &mut t
-                    .get_or_allocate_site(site, keys, || VariantEntry {
-                        history: HistoryRegister::new(bits),
-                    })
-                    .0
-                    .history
-            }
-        };
-        let old_pattern = history.pattern();
-        history.shift(taken);
-        let table = &mut self.tables[table as usize];
-        let guess = table.predict(old_pattern);
-        table.update(old_pattern, taken);
-        guess
     }
 
     /// This predictor's configuration.
@@ -302,7 +238,25 @@ impl TwoLevelVariant {
         }
     }
 
-    fn table_index(&self, pc: u32) -> usize {
+    /// Folds a gang walk's level-one access statistics into a
+    /// per-address scope's HRT: a gang walk probes on the lane's
+    /// behalf (see [`AnyHrt::adopt_probe_stats`]). A no-op for
+    /// global-history scopes, which have no table.
+    pub fn adopt_probe_stats(&mut self, stats: HrtStats) {
+        if let Level1::PerAddress(t) = &mut self.level1 {
+            t.adopt_probe_stats(stats);
+        }
+    }
+
+    /// The level-two pattern tables, in set order (one table for a
+    /// global pattern scope).
+    pub fn pattern_tables(&self) -> &[PatternTable] {
+        &self.tables
+    }
+
+    /// The pattern table selected by `pc` (low word-address bits; always
+    /// 0 for a global pattern scope).
+    pub fn pattern_set(&self, pc: u32) -> usize {
         ((pc >> 2) as usize) & self.set_mask
     }
 
@@ -328,7 +282,7 @@ impl Predictor for TwoLevelVariant {
 
     fn predict(&mut self, branch: &BranchRecord) -> bool {
         let pattern = self.current_pattern(branch.pc);
-        let table = self.table_index(branch.pc);
+        let table = self.pattern_set(branch.pc);
         self.tables[table].predict(pattern)
     }
 
@@ -356,7 +310,7 @@ impl Predictor for TwoLevelVariant {
                 old
             }
         };
-        let table = self.table_index(branch.pc);
+        let table = self.pattern_set(branch.pc);
         self.tables[table].update(old_pattern, taken);
     }
 }

@@ -3,11 +3,10 @@
 
 use tlat_check::{check, gen, prop_assert_eq, Gen};
 use tlat_core::{
-    Ahrt, AnyHrt, Automaton, AutomatonKind, Gshare, GshareConfig, HistoryRegister, HistoryTable,
-    HrtConfig, Ihrt, LeeSmithBtb, LeeSmithConfig, PatternTable, Predictor, SiteResolver,
-    Tournament, TwoLevelAdaptive, TwoLevelConfig, TwoLevelVariant, VariantConfig, A2,
+    Ahrt, AnyHrt, Automaton, AutomatonKind, HistoryRegister, HistoryTable, HrtConfig, Ihrt,
+    PatternTable, Predictor, TwoLevelAdaptive, TwoLevelConfig, A2,
 };
-use tlat_trace::{BranchRecord, CompiledTrace, Trace};
+use tlat_trace::BranchRecord;
 
 fn arb_kind() -> Gen<AutomatonKind> {
     gen::choose(&AutomatonKind::ALL)
@@ -193,147 +192,6 @@ fn periodic_patterns_are_learned() {
                     prop_assert_eq!(p.predict(&b), taken, "rep {} position {}", rep, i);
                     p.update(&b);
                 }
-            }
-            Ok(())
-        },
-    );
-}
-
-/// The compiled site-driven path is observably identical to the
-/// record-driven path: same guess at every event and the same final
-/// table stats, for the AT and LS schemes, the GAg/GAs/PAg/PAs
-/// taxonomy, gshare and the AT + gshare tournament, across every HRT
-/// organization and several geometries (small tables force evictions,
-/// so the AHRT's victim-inheritance and LRU ordering are exercised
-/// too). The taxonomy, gshare and tournament are compared against
-/// their two-phase `predict`/`update` cycle, the reference engine's.
-#[test]
-fn site_driven_prediction_matches_record_driven_prediction() {
-    let geometries = [
-        HrtConfig::Ideal,
-        HrtConfig::ahrt(512),
-        HrtConfig::Associative {
-            entries: 16,
-            ways: 2,
-        },
-        HrtConfig::hhrt(256),
-        HrtConfig::hhrt(8),
-    ];
-    let inputs = gen::tuple3(
-        gen::choose(&geometries),
-        gen::u8_in(1, 12),
-        gen::vec_of(gen::tuple2(gen::u32_in(0, 63), gen::bools()), 1, 999),
-    );
-    check(
-        "site_driven_prediction_matches_record_driven_prediction",
-        &inputs,
-        |(hrt, bits, stream)| {
-            let mut trace = Trace::new();
-            for &(site, taken) in stream {
-                trace.push(BranchRecord::conditional(0x1000 + site * 4, 0x800, taken));
-            }
-            let compiled = CompiledTrace::compile(&trace);
-            let mut resolver = SiteResolver::new(compiled.site_pcs().to_vec());
-
-            let at_config = TwoLevelConfig {
-                history_bits: *bits,
-                hrt: *hrt,
-                ..TwoLevelConfig::paper_default()
-            };
-            let mut at_records = TwoLevelAdaptive::new(at_config);
-            let mut at_sites = TwoLevelAdaptive::new(at_config);
-            at_sites.bind_sites(&mut resolver);
-
-            let ls_config = LeeSmithConfig {
-                automaton: AutomatonKind::A2,
-                hrt: *hrt,
-            };
-            let mut ls_records = LeeSmithBtb::new(ls_config);
-            let mut ls_sites = LeeSmithBtb::new(ls_config);
-            ls_sites.bind_sites(&mut resolver);
-
-            let variant_configs = [
-                VariantConfig::gag(*bits, AutomatonKind::A2),
-                VariantConfig::gas(*bits, AutomatonKind::A3, 4),
-                VariantConfig::pag(*bits, AutomatonKind::A2, *hrt),
-                VariantConfig::pas(*bits, AutomatonKind::LastTime, *hrt, 8),
-            ];
-            let mut variant_records: Vec<TwoLevelVariant> = variant_configs
-                .iter()
-                .map(|&c| TwoLevelVariant::new(c))
-                .collect();
-            let mut variant_sites: Vec<TwoLevelVariant> = variant_configs
-                .iter()
-                .map(|&c| TwoLevelVariant::new(c))
-                .collect();
-            for v in &mut variant_sites {
-                v.bind_sites(&mut resolver);
-            }
-
-            let gshare_config = GshareConfig {
-                history_bits: *bits,
-                automaton: AutomatonKind::A2,
-            };
-            let mut gshare_records = Gshare::new(gshare_config);
-            let mut gshare_sites = Gshare::new(gshare_config);
-            gshare_sites.bind_sites(&resolver);
-
-            let tournament = || {
-                Tournament::new(
-                    TwoLevelAdaptive::new(at_config),
-                    Gshare::new(gshare_config),
-                    16,
-                )
-            };
-            let mut tournament_records = tournament();
-            let mut tournament_sites = tournament();
-            tournament_sites.bind_sites(&mut resolver);
-
-            let two_phase = |p: &mut dyn Predictor, record: &BranchRecord| {
-                let guess = p.predict(record);
-                p.update(record);
-                guess
-            };
-
-            for (record, (site, taken)) in trace.iter().zip(compiled.events()) {
-                prop_assert_eq!(
-                    at_records.predict_update(record),
-                    at_sites.predict_update_site(site, taken),
-                    "AT diverged at pc {:#x}",
-                    record.pc
-                );
-                prop_assert_eq!(
-                    ls_records.predict_update(record),
-                    ls_sites.predict_update_site(site, taken),
-                    "LS diverged at pc {:#x}",
-                    record.pc
-                );
-                for (a, b) in variant_records.iter_mut().zip(&mut variant_sites) {
-                    prop_assert_eq!(
-                        two_phase(a, record),
-                        b.predict_update_site(site, taken),
-                        "{} diverged at pc {:#x}",
-                        a.name(),
-                        record.pc
-                    );
-                }
-                prop_assert_eq!(
-                    two_phase(&mut gshare_records, record),
-                    gshare_sites.predict_update_site(site, taken),
-                    "gshare diverged at pc {:#x}",
-                    record.pc
-                );
-                prop_assert_eq!(
-                    two_phase(&mut tournament_records, record),
-                    tournament_sites.predict_update_site(site, taken),
-                    "tournament diverged at pc {:#x}",
-                    record.pc
-                );
-            }
-            prop_assert_eq!(at_records.hrt_stats(), at_sites.hrt_stats());
-            prop_assert_eq!(ls_records.table_stats(), ls_sites.table_stats());
-            for (a, b) in variant_records.iter().zip(&variant_sites) {
-                prop_assert_eq!(a.hrt_stats(), b.hrt_stats(), "{}", a.name());
             }
             Ok(())
         },

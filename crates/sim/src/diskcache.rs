@@ -13,8 +13,9 @@
 //! files) are never read: they live under other file names, and
 //! entries are regenerable, so a cache miss is the right answer.
 //!
-//! Cache entries live under `target/tlat-cache/` by default, or the
-//! directory named by the `TLAT_TRACE_CACHE` environment variable
+//! Cache entries live under the workspace's `target/tlat-cache/` by
+//! default (see [`default_cache_dir`]), or the directory named by the
+//! `TLAT_TRACE_CACHE` environment variable
 //! (`TLAT_TRACE_CACHE=0`, `off`, or the empty string disables the cache
 //! altogether). Each entry is keyed by a [`TraceKey`] fingerprint over
 //! the workload name, data-set identity (name, seed, scale), branch
@@ -55,8 +56,36 @@ use tlat_workloads::DataSet;
 /// cache when set to `0`, `off`, or empty).
 pub const TRACE_CACHE_ENV: &str = "TLAT_TRACE_CACHE";
 
-/// Default cache directory, relative to the working directory.
+/// Default cache directory, relative to the workspace root (see
+/// [`default_cache_dir`]).
 pub const DEFAULT_CACHE_DIR: &str = "target/tlat-cache";
+
+/// [`DEFAULT_CACHE_DIR`] resolved against the workspace holding the
+/// working directory, so a run from any crate of a checkout (benches
+/// run from `crates/bench`) shares the one cache under the workspace's
+/// `target/`. Outside a workspace the relative default is kept.
+pub fn default_cache_dir() -> PathBuf {
+    match std::env::current_dir() {
+        Ok(cwd) => default_cache_dir_from(&cwd),
+        Err(_) => PathBuf::from(DEFAULT_CACHE_DIR),
+    }
+}
+
+/// [`DEFAULT_CACHE_DIR`] under the nearest ancestor of `start` (itself
+/// included) whose `Cargo.toml` declares a `[workspace]`, or the
+/// relative default when there is none.
+pub fn default_cache_dir_from(start: &Path) -> PathBuf {
+    start
+        .ancestors()
+        .find(|dir| {
+            std::fs::read_to_string(dir.join("Cargo.toml"))
+                .is_ok_and(|manifest| manifest.lines().any(|l| l.trim() == "[workspace]"))
+        })
+        .map_or_else(
+            || PathBuf::from(DEFAULT_CACHE_DIR),
+            |root| root.join(DEFAULT_CACHE_DIR),
+        )
+}
 
 /// Transient read errors are retried this many times before the load
 /// degrades to a cache miss.
@@ -169,13 +198,13 @@ impl DiskCache {
     }
 
     /// The environment-configured cache: `TLAT_TRACE_CACHE` names the
-    /// directory, defaulting to [`DEFAULT_CACHE_DIR`]; `0`, `off`, or
+    /// directory, defaulting to [`default_cache_dir`]; `0`, `off`, or
     /// an empty value disables caching (`None`).
     pub fn from_env() -> Option<Self> {
         match std::env::var(TRACE_CACHE_ENV) {
             Ok(dir) if matches!(dir.as_str(), "" | "0" | "off") => None,
             Ok(dir) => Some(DiskCache::new(dir)),
-            Err(_) => Some(DiskCache::new(DEFAULT_CACHE_DIR)),
+            Err(_) => Some(DiskCache::new(default_cache_dir())),
         }
     }
 
@@ -384,6 +413,27 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("tlat-diskcache-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    #[test]
+    fn the_default_directory_is_the_workspace_target() {
+        // Benches run from `crates/bench`; the default must still land
+        // in the workspace's own `target/`, not a per-crate one.
+        let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .ancestors()
+            .nth(2)
+            .expect("crates/sim sits two levels below the workspace root");
+        let want = root.join(DEFAULT_CACHE_DIR);
+        assert_eq!(default_cache_dir_from(&root.join("crates/bench")), want);
+        assert_eq!(default_cache_dir_from(root), want);
+        let outside = scratch_dir("no-workspace");
+        std::fs::create_dir_all(&outside).unwrap();
+        assert_eq!(
+            default_cache_dir_from(&outside),
+            PathBuf::from(DEFAULT_CACHE_DIR),
+            "outside a workspace the relative default stays"
+        );
+        let _ = std::fs::remove_dir_all(&outside);
     }
 
     fn key<'a>(input: &'a DataSet, budget: u64) -> TraceKey<'a> {

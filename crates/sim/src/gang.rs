@@ -14,27 +14,28 @@
 //!   enum variant of [`GangLane`] ([`TwoLevelAdaptive`],
 //!   [`LeeSmithBtb`], [`StaticTraining`], the [`TwoLevelVariant`]
 //!   taxonomy, [`Gshare`], the AT + gshare [`Tournament`],
-//!   [`ProfilePredictor`], and the [`FixedRule`]s), so each lane's
-//!   per-event cycle is a direct (inlinable) call driven by site id.
-//!   Per-address taxonomy lanes search their HRT once per event
-//!   through the resolved site keys, per-set lanes read a per-site
-//!   table index, and the tournament runs both components' site
-//!   cycles under a per-site chooser. Only hand-built predictors take
-//!   the boxed [`GangLane::Dyn`] lane, fed the stream's rebuilt
-//!   conditional records ([`CompiledTrace::conditional_records`]).
+//!   [`ProfilePredictor`], and the [`FixedRule`]s), so the planner
+//!   reads each lane's configuration and picks its route up front.
+//!   Only hand-built predictors take the boxed [`GangLane::Dyn`] lane,
+//!   fed the stream's rebuilt conditional records
+//!   ([`CompiledTrace::conditional_records`]).
 //! * **Stream compilation** — the walk reads a site-interned SoA event
 //!   stream ([`CompiledTrace`], compiled or decoded once per workload)
 //!   and every lane's table coordinates are resolved per static site up
 //!   front ([`SiteResolver`]), so the hot loop does no per-branch
 //!   set/tag/hash arithmetic and touches ~5 bytes per event instead of
 //!   a 16-byte record (see DESIGN.md's "Hot-loop anatomy").
-//! * **Shared probe engines** — associative lanes with the same table
-//!   geometry see identical tag/LRU decision sequences, so one
-//!   payload-free [`SlotProbe`] per geometry (built only when two or
-//!   more lanes share it) pays the way scan and victim search once per
-//!   event; each lane applies the replayed slot decision via a direct
-//!   indexed entry access, and the engine's access statistics are
-//!   folded back into every sharing lane once per walk.
+//! * **Level-one sources** — a two-level predictor's first level
+//!   depends only on the branch stream and the table organization, so
+//!   every scalar lane rides a shared source: one per `(HrtConfig,
+//!   reinit_on_replace)` for per-address history (AT of any shape, ST,
+//!   PAg, PAs, the tournament's AT, and Lee & Smith buffers, which read
+//!   only the slot discipline) and one global register (GAg, GAs,
+//!   gshare, the tournament's gshare). Each source pays one probe and
+//!   one history shift per event, as wide as its longest lane; each
+//!   lane then runs only its level-two step on dense `u8` state codes,
+//!   a block of events at a time (`grouped`). The sources' statistics
+//!   fold back into every lane that owns an HRT.
 //! * **Bitsliced gang lanes** — same-geometry lanes whose per-event
 //!   state fits two-bit automata group into SWAR plane packs. LS
 //!   lanes pack per table slot (one automaton each,
@@ -46,16 +47,14 @@
 //!   drives every lane's masked row index, and the variant ×
 //!   history-length grid of a fig10 sweep collapses into a handful
 //!   of packs. Both flavors share the slot drivers: ideal, hashed,
-//!   and scalar-free associative packs skip the per-event loop
-//!   entirely and replay the stream in `(site, outcome)` runs; packs
-//!   riding a mixed gang's shared probe engine adapt to the stream
-//!   shape — on loop-heavy streams the event loop just logs each
-//!   probe's slot (the way scan stays paid once for the whole gang)
-//!   and the pack replays the log in `(slot, outcome)` runs
-//!   afterwards, while on churny streams it takes one branchless
-//!   plane step per event in-loop. In every run-replayed walk a loop
-//!   branch's same-outcome tail applies in O(1) once every history
-//!   register saturates and every automaton sits at its fixed point.
+//!   and associative packs on an organization no grouped lane probes
+//!   skip the block loop entirely and replay the stream in `(site,
+//!   outcome)` runs; an associative pack beside grouped lanes on its
+//!   organization rides their level-one source (the way scan stays
+//!   paid once) and replays each block's slot records in `(slot,
+//!   outcome)` runs. In every run-replayed walk a loop branch's
+//!   same-outcome tail applies in O(1) once every history register
+//!   saturates and every automaton sits at its fixed point.
 //! * **Closed-form scoring** — a profile lane's frozen per-site bits
 //!   never change during a walk, and neither do Always Taken's,
 //!   Always Not Taken's or BTFN's guesses, so their scores are
@@ -77,15 +76,18 @@ use crate::engine::SimOptions;
 use crate::metrics::{self, Counter, Phase};
 use crate::stats::{PredictionStats, SimResult};
 use crate::pool::{catch_cell, CellPanic};
+use grouped::{AddressSource, Block, GlobalSource, GroupedLane, Level1, BLOCK};
 use std::collections::HashMap;
 use std::sync::Arc;
 use tlat_core::{
-    AlwaysNotTaken, AlwaysTaken, AtLaneConfig, AtPack, AutomatonKind, Btfn, Gshare, HrtConfig,
-    HrtStats, LanePack, LeeSmithBtb, Predictor, ProbeOutcome, ProfilePredictor, SiteKeys,
-    SiteResolver, SlotProbe, StaticTraining, StaticTrainingConfig, Tournament, TwoLevelAdaptive,
-    TwoLevelVariant,
+    AlwaysNotTaken, AlwaysTaken, AtLaneConfig, AtPack, AutomatonKind, Btfn, Gshare, HistoryScope,
+    HrtConfig, HrtStats, LanePack, LeeSmithBtb, Predictor, ProbeOutcome, ProfilePredictor,
+    SiteKeys, SiteResolver, SlotProbe, StaticTraining, StaticTrainingConfig, Tournament,
+    TwoLevelAdaptive, TwoLevelVariant,
 };
 use tlat_trace::{BranchRecord, CompiledTrace, RasEvent, ReturnAddressStack, SiteId, Trace};
+
+mod grouped;
 
 /// One predictor riding a gang walk.
 ///
@@ -222,32 +224,20 @@ impl GangLane {
             GangLane::Dyn(p) => p.name(),
         }
     }
-
-    /// The lane's history-table organization, for the lanes that share
-    /// probes or pack (`None` for every other lane). Lanes sharing an
-    /// associative organization share a [`SlotProbe`] during a
-    /// compiled walk.
-    fn hrt_config(&self) -> Option<HrtConfig> {
-        match self {
-            GangLane::TwoLevel(p) => Some(p.config().hrt),
-            GangLane::LeeSmith(p) => Some(p.config().hrt),
-            GangLane::StaticTraining(p) => Some(p.config().hrt),
-            _ => None,
-        }
-    }
 }
 
 /// Lanes per bitsliced pack: one bit of each `u64` plane.
 const PACK_WIDTH: usize = 64;
 
-/// Mean same-site run length (in events) from which a mixed gang's
-/// shared packs switch from stepping inside the per-event loop to
-/// replaying a logged slot stream in run chunks. Below it, runs are
-/// too short for chunking to amortize the log's write-and-rescan.
-const LOG_REPLAY_MIN_RUN: usize = 3;
+/// Mean same-site run length (in events) from which a stream counts
+/// as loop-heavy: there every packable Two-Level lane packs, since a
+/// pack applies a same-outcome run in O(1) past its convergence depth
+/// while a scalar lane pays every event.
+const LOOP_HEAVY_MIN_RUN: usize = 3;
 
 /// How many of a geometry's `count` Lee & Smith lanes go into bitsliced
-/// packs (the rest take the scalar site/slot path).
+/// packs (the rest ride the level-one sources as grouped scalar
+/// lanes).
 ///
 /// A single lane gains nothing from plane form, so geometries need at
 /// least two LS lanes to pack at all, and when chunking by
@@ -272,25 +262,19 @@ enum PackProbe {
     /// Ideal table: slot = site (both are first-appearance order); a
     /// fresh site is exactly the next slot to grow.
     Ideal { next_site: SiteId, stats: HrtStats },
-    /// Set-associative geometry in a mixed gang: the pack rides the
-    /// geometry's shared per-event [`SlotProbe`] (index into the
-    /// engine list) — the way scan is paid once for scalar slot-path
-    /// lanes and the pack together. The stepping strategy adapts to
-    /// the stream: on loop-heavy streams (mean same-site run ≥
-    /// [`LOG_REPLAY_MIN_RUN`]) the event loop only logs the engine's
-    /// slot decisions and the pack replays the log afterwards in
-    /// (slot, outcome) runs, collapsing a loop branch's same-outcome
-    /// tail to O(1); on churny streams the pack takes one branchless
-    /// plane step per event in-loop, where a log would only be
-    /// rescanned in runs of length one.
+    /// Set-associative geometry that grouped scalar lanes also probe:
+    /// the pack rides their level-one source (index into the address
+    /// sources), so the way scan is paid once for both, and replays
+    /// each block's slot records in (slot, outcome) runs
+    /// ([`replay_block`]).
     Shared(usize),
-    /// Set-associative geometry in a gang with no scalar per-event
-    /// consumers: a pack-owned probe engine advanced one real probe
-    /// per same-site run plus a fast-forward for the guaranteed
-    /// re-hits ([`SlotProbe::step_run`]). Tag/LRU state is a
-    /// deterministic function of the access sequence, so the private
-    /// engine's decisions and statistics are byte-identical to a
-    /// shared engine's.
+    /// Set-associative geometry no grouped lane probes: a pack-owned
+    /// probe engine advanced one real probe per same-site run plus a
+    /// fast-forward for the guaranteed re-hits
+    /// ([`SlotProbe::step_run`]). Tag/LRU state is a deterministic
+    /// function of the access sequence, so the private engine's
+    /// decisions and statistics are byte-identical to a shared
+    /// source's.
     Private(SlotProbe),
     /// Tagless hashed table: slot precomputed per site, every access
     /// hits.
@@ -355,7 +339,7 @@ impl RunPack for AtPack {
 }
 
 /// Replays the whole compiled stream into one non-shared pack in
-/// `(site, outcome)` runs, off to the side of the per-event loop. A
+/// `(site, outcome)` runs, off to the side of the block loop. A
 /// run of r accesses to one site costs one real probe plus O(1)
 /// fast-forward bookkeeping, and within it each same-outcome run
 /// beyond the pack's convergence depth is a single shared
@@ -396,7 +380,7 @@ fn replay_site_runs<P: RunPack>(planes: &mut P, probe: &mut PackProbe, compiled:
                 };
                 slot[site as usize] as usize
             }
-            PackProbe::Shared(_) => unreachable!("shared packs replay their slot log"),
+            PackProbe::Shared(_) => unreachable!("shared packs replay their source's blocks"),
         };
         let mut k = i;
         while k < j {
@@ -409,31 +393,36 @@ fn replay_site_runs<P: RunPack>(planes: &mut P, probe: &mut PackProbe, compiled:
     }
 }
 
-/// Replays a shared engine's logged slot decisions into one pack on a
-/// loop-heavy stream, with the probing already paid: equal log words
-/// group into runs — a filled way is valid by its next probe, so a
-/// fill flag can't repeat within one — and the fill applies once, up
-/// front.
-fn replay_slot_log<P: RunPack>(planes: &mut P, log: &[u32], compiled: &CompiledTrace) {
-    let outcomes = compiled.outcomes();
+/// Replays one block of a shared level-one source's slot records into
+/// a pack, with the probing already paid: consecutive events on one
+/// slot group into a run — a fill can only open one, since a filled
+/// way is valid by its next probe — and each same-outcome stretch of a
+/// run applies in O(1) past the pack's convergence depth. A run cut by
+/// a block boundary continues exactly in the next block: every
+/// explicit step is exact, and the O(1) tail only starts once a
+/// stretch has converged.
+fn replay_block<P: RunPack>(planes: &mut P, source: &AddressSource, taken: &[bool]) {
+    let n = taken.len();
+    let (slot, fresh) = (&source.slot[..n], &source.fresh[..n]);
     let mut i = 0;
-    while i < log.len() {
-        let v = log[i];
-        let mut j = i + 1;
-        while j < log.len() && log[j] == v {
-            j += 1;
+    while i < n {
+        let s = slot[i];
+        if fresh[i] {
+            planes.fill_slot(s as usize);
         }
-        let slot = (v & 0xffff) as usize;
-        if v >> 16 != 0 {
-            debug_assert_eq!(j - i, 1, "a filled way is valid on its next probe");
-            planes.fill_slot(slot);
+        let mut j = i + 1;
+        while j < n && slot[j] == s && !fresh[j] {
+            j += 1;
         }
         let mut k = i;
         while k < j {
-            let taken = outcomes.get(k);
-            let run = outcomes.run_len(k, j);
-            planes.apply_run(slot, taken, run as u64);
-            k += run;
+            let t = taken[k];
+            let mut r = k + 1;
+            while r < j && taken[r] == t {
+                r += 1;
+            }
+            planes.apply_run(s as usize, t, (r - k) as u64);
+            k = r;
         }
         i = j;
     }
@@ -481,40 +470,61 @@ fn score_fixed_rule(rule: FixedRule, compiled: &CompiledTrace, stat: &mut Predic
     }
 }
 
-/// Simulates every lane over `compiled` in a single walk. Returns one
-/// [`SimResult`] per lane, in lane order.
-///
-/// Each conditional event runs the predict → score → update cycle for
-/// every lane; the stream's RAS events drive one shared
-/// return-address stack whose stats are replicated into every result
-/// (RAS behaviour is predictor-independent). Monomorphized lanes read
-/// the `(site, taken)` stream with site-resolved table coordinates
-/// ([`TwoLevelAdaptive::predict_update_site`],
-/// [`LeeSmithBtb::predict_update_site`], and the like) or score per
-/// site; dyn lanes read the stream's rebuilt conditional records.
-/// Results are bit-identical to running
-/// each lane alone through [`crate::simulate_with`] over the trace the
-/// stream was compiled from (pinned by tests).
-///
-/// `dyn_source` is not read: every lane kind, dyn included, is fed from
-/// `compiled`. The argument remains so existing callers keep compiling.
-pub fn gang_simulate_compiled(
-    lanes: &mut [GangLane],
-    compiled: &CompiledTrace,
-    _dyn_source: Option<&Trace>,
-    options: SimOptions,
-) -> Vec<SimResult> {
-    metrics::bump(Counter::TraceWalks);
-    let mut resolver = SiteResolver::new(compiled.site_pcs().to_vec());
-    let _span = metrics::span(Phase::GangWalk);
-    let mut stats = vec![PredictionStats::default(); lanes.len()];
-    // Lanes sharing a set-associative geometry see the same access
-    // sequence from the same pre-warmed state, so their tag/LRU
-    // decisions are byte-identical on every event: one SlotProbe per
-    // such geometry pays the way scan once and replays the decision to
-    // the whole group ([`tlat_core::AnyHrt::slot_entry`]). A geometry
-    // probed by a single lane keeps the plain site path — sharing
-    // saves nothing there.
+/// Where one lane rides a gang walk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Route {
+    /// A bitsliced plane pack.
+    Pack,
+    /// A grouped scalar lane on the per-address level-one source at
+    /// this index (a tournament also reads the global source).
+    Address(usize),
+    /// A grouped scalar lane on the global level-one source.
+    Global,
+    /// Closed-form scoring (profile, fixed rules) or the dyn pass.
+    Other,
+}
+
+/// The level-one sources one walk forms: a per-address source per
+/// `(HrtConfig, reinit_on_replace)` organization, each as wide as its
+/// longest-history lane, and the global register's width if any lane
+/// reads global history.
+#[derive(Debug, Default)]
+struct SourcePlan {
+    address: Vec<(HrtConfig, bool, u8)>,
+    global: Option<u8>,
+}
+
+impl SourcePlan {
+    /// The per-address source for `hrt`, widened to `history_bits`.
+    fn address(&mut self, hrt: HrtConfig, reinit: bool, history_bits: u8) -> usize {
+        match self.find(hrt, reinit) {
+            Some(i) => {
+                self.address[i].2 = self.address[i].2.max(history_bits);
+                i
+            }
+            None => {
+                self.address.push((hrt, reinit, history_bits));
+                self.address.len() - 1
+            }
+        }
+    }
+
+    /// The global source, widened to `history_bits`.
+    fn global(&mut self, history_bits: u8) {
+        self.global = Some(self.global.map_or(history_bits, |w| w.max(history_bits)));
+    }
+
+    fn find(&self, hrt: HrtConfig, reinit: bool) -> Option<usize> {
+        self.address
+            .iter()
+            .position(|&(h, r, _)| h == hrt && r == reinit)
+    }
+}
+
+/// Picks every lane's route through one walk, and the level-one
+/// sources its grouped lanes need. `loop_heavy` is the stream's shape
+/// (mean same-site run ≥ [`LOOP_HEAVY_MIN_RUN`]).
+fn plan_routes(lanes: &[GangLane], loop_heavy: bool) -> (Vec<Route>, SourcePlan) {
     // Lee & Smith lanes sharing an exact table geometry, and packable
     // Two-Level lanes, peel off into bitsliced packs. For LS a
     // geometry's lane count alone decides (`packed_quota`); for AT the
@@ -525,21 +535,15 @@ pub fn gang_simulate_compiled(
     // the same masked row, while every distinct length adds its own
     // row visit per event. On a churny stream a mask-singleton
     // therefore touches sixteen bytes of plane per pattern where the
-    // scalar fused cycle touches one, with nothing to amortize it
+    // grouped scalar step touches one, with nothing to amortize it
     // over: such lanes stay scalar, and the LS strand rule applies to
     // the eligible remainder. On a loop-heavy stream every packable
-    // lane packs, mask-singletons included: the pack leaves the
-    // per-event loop and `apply_run` collapses a same-outcome run to
-    // at most `history_bits + 3` plane steps where scalar lanes pay
-    // every event — this is what lets Figure 10's lone AT lane ride a
-    // pack. The shape signal is the same memoized same-site run count
-    // that decides log replay ([`LOG_REPLAY_MIN_RUN`]). Whether a
-    // scalar per-event consumer remains (an ST lane, an unpackable or
-    // unpacked AT lane, or an unpacked LS lane) decides how
-    // associative packs probe: beside scalar consumers they share the
-    // per-event engine, alone they replay the stream privately in
-    // (site, outcome) runs.
-    let loop_heavy = compiled.len() >= LOG_REPLAY_MIN_RUN * compiled.site_run_count();
+    // lane packs, mask-singletons included: the pack replays
+    // same-outcome runs, collapsing each to at most `history_bits + 3`
+    // plane steps where scalar lanes pay every event — this is what
+    // lets Figure 10's lone AT lane ride a pack. The shape signal is
+    // the stream's memoized same-site run count
+    // ([`LOOP_HEAVY_MIN_RUN`]).
     let mut ls_geometry: HashMap<HrtConfig, usize> = HashMap::new();
     let mut at_masks: HashMap<(HrtConfig, u8), usize> = HashMap::new();
     for lane in lanes.iter() {
@@ -562,156 +566,181 @@ pub fn gang_simulate_compiled(
         }
     }
     let mut at_seen: HashMap<HrtConfig, usize> = HashMap::new();
-    let at_packed: Vec<bool> = lanes
+    let mut at_packed = |p: &TwoLevelAdaptive| -> bool {
+        let Some(spec) = p.config().pack_lane() else { return false };
+        let cfg = p.config().hrt;
+        if !loop_heavy && at_masks[&(cfg, spec.history_bits)] < 2 {
+            return false;
+        }
+        let quota = if loop_heavy {
+            at_eligible[&cfg]
+        } else {
+            packed_quota(at_eligible[&cfg])
+        };
+        let seen = at_seen.entry(cfg).or_insert(0);
+        let packed = *seen < quota;
+        *seen += 1;
+        packed
+    };
+    // Every lane that does not pack rides the level-one sources: the
+    // plan groups lanes whose level-one evolution is provably
+    // identical — same organization and replacement rule for
+    // per-address history (any automaton, history length, caching mode
+    // or init polarity; Lee & Smith buffers read only the slot
+    // discipline), one register for every global-history lane.
+    let mut plan = SourcePlan::default();
+    let mut ls_seen: HashMap<HrtConfig, usize> = HashMap::new();
+    let routes = lanes
         .iter()
-        .map(|lane| {
-            let GangLane::TwoLevel(p) = lane else { return false };
-            let Some(spec) = p.config().pack_lane() else { return false };
-            let cfg = p.config().hrt;
-            if !loop_heavy && at_masks[&(cfg, spec.history_bits)] < 2 {
-                return false;
-            }
-            let quota = if loop_heavy {
-                at_eligible[&cfg]
-            } else {
-                packed_quota(at_eligible[&cfg])
-            };
-            let seen = at_seen.entry(cfg).or_insert(0);
-            let packed = *seen < quota;
-            *seen += 1;
-            packed
-        })
-        .collect();
-    let mut ls_scan: HashMap<HrtConfig, usize> = HashMap::new();
-    let mut scalar_consumers = false;
-    for (i, lane) in lanes.iter().enumerate() {
-        match lane {
-            GangLane::StaticTraining(_)
-            | GangLane::Variant(_)
-            | GangLane::Gshare(_)
-            | GangLane::Tournament(_) => scalar_consumers = true,
-            GangLane::TwoLevel(_) => {
-                if !at_packed[i] {
-                    scalar_consumers = true;
+        .map(|lane| match lane {
+            GangLane::TwoLevel(p) => {
+                if at_packed(p) {
+                    Route::Pack
+                } else {
+                    let c = p.config();
+                    Route::Address(plan.address(c.hrt, c.reinit_on_replace, c.history_bits))
                 }
             }
             GangLane::LeeSmith(p) => {
                 let cfg = p.config().hrt;
-                let seen = ls_scan.entry(cfg).or_insert(0);
-                if *seen >= packed_quota(ls_geometry[&cfg]) {
-                    scalar_consumers = true;
-                }
+                let seen = ls_seen.entry(cfg).or_insert(0);
+                let packed = *seen < packed_quota(ls_geometry[&cfg]);
                 *seen += 1;
+                if packed {
+                    Route::Pack
+                } else {
+                    Route::Address(plan.address(cfg, false, 0))
+                }
             }
-            GangLane::Profile(_) | GangLane::Fixed(_) | GangLane::Dyn(_) => {}
-        }
-    }
-    // Packed LS lanes count toward shared-SlotProbe eligibility: in a
-    // mixed gang a pack's >= 2 lanes always justify forming its
-    // geometry's engine, which the pack then consumes alongside any
-    // scalar sharers.
-    let mut geometry_lanes: HashMap<HrtConfig, usize> = HashMap::new();
-    for lane in lanes.iter() {
-        if let Some(cfg @ HrtConfig::Associative { .. }) = lane.hrt_config() {
-            *geometry_lanes.entry(cfg).or_insert(0) += 1;
-        }
-    }
-    let mut engines: Vec<SlotProbe> = Vec::new();
-    let mut engine_of: HashMap<HrtConfig, usize> = HashMap::new();
-    let mut engine_for = |cfg: Option<HrtConfig>, resolver: &mut SiteResolver| -> Option<usize> {
-        let cfg = cfg?;
-        if geometry_lanes.get(&cfg).copied().unwrap_or(0) < 2 {
-            return None;
-        }
-        Some(*engine_of.entry(cfg).or_insert_with(|| {
-            engines.push(SlotProbe::build(cfg, resolver).expect("geometry is associative"));
-            engines.len() - 1
-        }))
-    };
-    // Partition once so the per-event loops are free of lane-kind
-    // dispatch: each group's calls are direct and the dyn pass runs
-    // only when dyn lanes exist. Slot-path groups carry the index of
-    // their geometry's shared probe engine.
-    let mut at_lanes: Vec<(&mut TwoLevelAdaptive, &mut PredictionStats)> = Vec::new();
-    let mut ls_lanes: Vec<(&mut LeeSmithBtb, &mut PredictionStats)> = Vec::new();
-    let mut st_lanes: Vec<(&mut StaticTraining, &mut PredictionStats)> = Vec::new();
-    let mut at_slots: Vec<(usize, &mut TwoLevelAdaptive, &mut PredictionStats)> = Vec::new();
-    let mut ls_slots: Vec<(usize, &mut LeeSmithBtb, &mut PredictionStats)> = Vec::new();
-    let mut st_slots: Vec<(usize, &mut StaticTraining, &mut PredictionStats)> = Vec::new();
-    let mut var_lanes: Vec<(&mut TwoLevelVariant, &mut PredictionStats)> = Vec::new();
-    let mut gs_lanes: Vec<(&mut Gshare, &mut PredictionStats)> = Vec::new();
-    let mut tour_lanes: Vec<(
-        &mut Tournament<TwoLevelAdaptive, Gshare>,
-        &mut PredictionStats,
-    )> = Vec::new();
+            GangLane::StaticTraining(p) => {
+                let c = p.config();
+                Route::Address(plan.address(c.hrt, false, c.history_bits))
+            }
+            GangLane::Variant(p) => {
+                let c = p.config();
+                match c.history {
+                    HistoryScope::PerAddress(hrt) => {
+                        Route::Address(plan.address(hrt, false, c.history_bits))
+                    }
+                    HistoryScope::Global => {
+                        plan.global(c.history_bits);
+                        Route::Global
+                    }
+                }
+            }
+            GangLane::Gshare(p) => {
+                plan.global(p.config().history_bits);
+                Route::Global
+            }
+            GangLane::Tournament(p) => {
+                let (first, second) = p.components();
+                plan.global(second.config().history_bits);
+                let c = first.config();
+                Route::Address(plan.address(c.hrt, c.reinit_on_replace, c.history_bits))
+            }
+            GangLane::Profile(_) | GangLane::Fixed(_) | GangLane::Dyn(_) => Route::Other,
+        })
+        .collect();
+    (routes, plan)
+}
+
+/// Simulates every lane over `compiled` in a single walk. Returns one
+/// [`SimResult`] per lane, in lane order.
+///
+/// Each conditional event runs the predict → score → update cycle for
+/// every lane; the stream's RAS events drive one shared
+/// return-address stack whose stats are replicated into every result
+/// (RAS behaviour is predictor-independent). Two-level and buffer
+/// lanes either pack into bitsliced planes or ride the level-one
+/// sources as grouped scalar lanes; profile and fixed-rule lanes score
+/// per site; dyn lanes read the stream's rebuilt conditional records.
+/// Results are bit-identical to running each lane alone through
+/// [`crate::simulate_with`] over the trace the stream was compiled
+/// from (pinned by tests). Lanes must arrive fresh, as
+/// [`GangLane::from_config`] builds them: packed and grouped lanes
+/// start from their configuration's initial tables.
+///
+/// `dyn_source` is not read: every lane kind, dyn included, is fed from
+/// `compiled`. The argument remains so existing callers keep compiling.
+pub fn gang_simulate_compiled(
+    lanes: &mut [GangLane],
+    compiled: &CompiledTrace,
+    _dyn_source: Option<&Trace>,
+    options: SimOptions,
+) -> Vec<SimResult> {
+    metrics::bump(Counter::TraceWalks);
+    let mut resolver = SiteResolver::new(compiled.site_pcs().to_vec());
+    let _span = metrics::span(Phase::GangWalk);
+    let mut stats = vec![PredictionStats::default(); lanes.len()];
+    let loop_heavy = compiled.len() >= LOOP_HEAVY_MIN_RUN * compiled.site_run_count();
+    let (routes, plan) = plan_routes(lanes, loop_heavy);
+    let mut address: Vec<AddressSource> = plan
+        .address
+        .iter()
+        .map(|&(hrt, reinit, bits)| AddressSource::new(hrt, reinit, bits, compiled, &mut resolver))
+        .collect();
+    let mut global = plan.global.map(GlobalSource::new);
+    // Partition once so the walk is free of per-event lane-kind
+    // dispatch: grouped lanes run their level-two kernel a block at a
+    // time, packs step their planes, and the dyn pass runs only when
+    // dyn lanes exist. Grouped lanes that own an HRT remember their
+    // source, to adopt its statistics afterwards.
+    let mut grouped: Vec<GroupedLane> = Vec::new();
+    let mut adopters: Vec<(usize, &mut GangLane)> = Vec::new();
     let mut prof_lanes: Vec<(&mut ProfilePredictor, &mut PredictionStats)> = Vec::new();
     let mut fixed_lanes: Vec<(FixedRule, &mut PredictionStats)> = Vec::new();
     let mut dyn_lanes: Vec<(&mut Box<dyn Predictor>, &mut PredictionStats)> = Vec::new();
     let mut pack_groups: HashMap<HrtConfig, Vec<(&mut LeeSmithBtb, &mut PredictionStats)>> =
         HashMap::new();
-    let mut ls_taken: HashMap<HrtConfig, usize> = HashMap::new();
     let mut at_pack_groups: HashMap<
         HrtConfig,
         Vec<(&mut TwoLevelAdaptive, &mut PredictionStats)>,
     > = HashMap::new();
-    for (i, (lane, stat)) in lanes.iter_mut().zip(stats.iter_mut()).enumerate() {
-        match lane {
-            GangLane::TwoLevel(p) => {
-                let cfg = p.config().hrt;
-                if at_packed[i] {
-                    at_pack_groups.entry(cfg).or_default().push((p, stat));
-                } else {
-                    match engine_for(Some(cfg), &mut resolver) {
-                        Some(ei) => at_slots.push((ei, p, stat)),
-                        None => {
-                            p.bind_sites(&mut resolver);
-                            at_lanes.push((p, stat));
-                        }
+    for ((lane, stat), &route) in lanes.iter_mut().zip(stats.iter_mut()).zip(&routes) {
+        match (route, lane) {
+            (Route::Pack, GangLane::TwoLevel(p)) => {
+                at_pack_groups
+                    .entry(p.config().hrt)
+                    .or_default()
+                    .push((p, stat));
+            }
+            (Route::Pack, GangLane::LeeSmith(p)) => {
+                pack_groups
+                    .entry(p.config().hrt)
+                    .or_default()
+                    .push((p, stat));
+            }
+            (Route::Address(si), lane) => {
+                grouped.push(match &*lane {
+                    GangLane::TwoLevel(p) => GroupedLane::two_level(p, si, compiled, stat),
+                    GangLane::LeeSmith(p) => GroupedLane::lee_smith(p, si, compiled, stat),
+                    GangLane::StaticTraining(p) => GroupedLane::static_training(p, si, stat),
+                    GangLane::Variant(p) => {
+                        GroupedLane::variant(p, Level1::Address(si), compiled, stat)
                     }
+                    GangLane::Tournament(p) => GroupedLane::tournament(p, si, compiled, stat),
+                    _ => unreachable!("only per-address lanes route to an address source"),
+                });
+                // The tournament's HRT is its AT component's, counted
+                // twice per event by the two-phase reference cycle; its
+                // guesses are what a walk reproduces.
+                if !matches!(lane, GangLane::Tournament(_)) {
+                    adopters.push((si, lane));
                 }
             }
-            GangLane::LeeSmith(p) => {
-                let cfg = p.config().hrt;
-                let seen = ls_taken.entry(cfg).or_insert(0);
-                let packed = *seen < packed_quota(ls_geometry[&cfg]);
-                *seen += 1;
-                if packed {
-                    pack_groups.entry(cfg).or_default().push((p, stat));
-                } else {
-                    match engine_for(Some(cfg), &mut resolver) {
-                        Some(ei) => ls_slots.push((ei, p, stat)),
-                        None => {
-                            p.bind_sites(&mut resolver);
-                            ls_lanes.push((p, stat));
-                        }
-                    }
-                }
+            (Route::Global, GangLane::Variant(p)) => {
+                grouped.push(GroupedLane::variant(p, Level1::Global, compiled, stat));
             }
-            GangLane::StaticTraining(p) => match engine_for(Some(p.config().hrt), &mut resolver) {
-                Some(ei) => st_slots.push((ei, p, stat)),
-                None => {
-                    p.bind_sites(&mut resolver);
-                    st_lanes.push((p, stat));
-                }
-            },
-            GangLane::Variant(p) => {
-                p.bind_sites(&mut resolver);
-                var_lanes.push((p, stat));
+            (Route::Global, GangLane::Gshare(p)) => {
+                grouped.push(GroupedLane::gshare(p, compiled, stat));
             }
-            GangLane::Gshare(p) => {
-                p.bind_sites(&resolver);
-                gs_lanes.push((p, stat));
-            }
-            GangLane::Tournament(p) => {
-                p.bind_sites(&mut resolver);
-                tour_lanes.push((p, stat));
-            }
-            GangLane::Profile(p) => {
+            (_, GangLane::Profile(p)) => {
                 p.bind_sites(&resolver);
                 prof_lanes.push((p, stat));
             }
-            GangLane::Fixed(rule) => fixed_lanes.push((*rule, stat)),
-            GangLane::Dyn(p) => dyn_lanes.push((p, stat)),
+            (_, GangLane::Fixed(rule)) => fixed_lanes.push((*rule, stat)),
+            (_, GangLane::Dyn(p)) => dyn_lanes.push((p, stat)),
+            (route, lane) => unreachable!("{} cannot take route {route:?}", lane.name()),
         }
     }
     // Assemble the bitsliced packs: chunk each geometry's packed
@@ -719,9 +748,11 @@ pub fn gang_simulate_compiled(
     // chunk; AT chunks may be singletons) and give each pack its
     // organization's slot driver. Hashed and associative planes are
     // sized to the table; ideal planes grow a slot per fresh site,
-    // like the table they mirror. Both pack flavors share the driver
-    // construction.
-    let mut pack_driver = |cfg: HrtConfig, resolver: &mut SiteResolver| -> (usize, PackProbe) {
+    // like the table they mirror. An associative pack rides the
+    // grouped lanes' source on its organization when there is one —
+    // the probe is paid once for both — and otherwise replays the
+    // stream privately.
+    let pack_driver = |cfg: HrtConfig, resolver: &mut SiteResolver| -> (usize, PackProbe) {
         match cfg {
             HrtConfig::Ideal => (
                 0,
@@ -732,16 +763,8 @@ pub fn gang_simulate_compiled(
             ),
             HrtConfig::Associative { entries, .. } => (
                 entries,
-                // A singleton AT pack alone on its geometry gets no
-                // shared engine (nothing in the per-event loop probes
-                // the geometry), so it replays privately even when
-                // scalar consumers exist elsewhere in the gang.
-                match if scalar_consumers {
-                    engine_for(Some(cfg), resolver)
-                } else {
-                    None
-                } {
-                    Some(ei) => PackProbe::Shared(ei),
+                match plan.find(cfg, false) {
+                    Some(si) => PackProbe::Shared(si),
                     None => PackProbe::Private(
                         SlotProbe::build(cfg, resolver).expect("geometry is associative"),
                     ),
@@ -796,167 +819,94 @@ pub fn gang_simulate_compiled(
         (packs.iter().map(|p| p.lanes.len()).sum::<usize>()
             + at_packs.iter().map(|p| p.lanes.len()).sum::<usize>()) as u64,
     );
-    // Event-major order: the `(site, taken)` decode and the per-
-    // geometry probes are paid once per event and amortized over every
-    // lane (the tables of a paper-sized sweep are small enough to stay
-    // cache-resident across lanes). Lanes never interact, so any
-    // event-vs-lane loop order is observably identical. A gang whose
-    // conditional consumers all packed (or score per site, like
-    // profile lanes) skips the loop outright.
-    // Shared-probe packs pick their stepping strategy off the
-    // stream's shape, measured once at compile time. A loop-heavy
-    // stream (long same-site runs) has the per-event loop log each
-    // riding engine's slot decisions — one word per event — and the
-    // pack replays the log afterwards in (slot, outcome) runs, where
-    // a loop branch's same-outcome tail applies in O(1). A churny
-    // stream (runs of an event or two, nothing for chunking to
-    // amortize) steps the pack inside the loop instead, straight off
-    // the shared probe, and skips the log entirely.
+    metrics::add(Counter::LanesGrouped, grouped.len() as u64);
+    metrics::add(
+        Counter::Level1Sources,
+        (address.len() + usize::from(global.is_some())) as u64,
+    );
+    let shared = |probe: &PackProbe| match probe {
+        PackProbe::Shared(si) => Some(*si),
+        _ => None,
+    };
     let shared_packs: Vec<(usize, usize)> = packs
         .iter()
         .enumerate()
-        .filter_map(|(pi, pack)| match pack.probe {
-            PackProbe::Shared(ei) => Some((pi, ei)),
-            _ => None,
-        })
+        .filter_map(|(pi, pack)| Some((pi, shared(&pack.probe)?)))
         .collect();
     let shared_at_packs: Vec<(usize, usize)> = at_packs
         .iter()
         .enumerate()
-        .filter_map(|(pi, pack)| match pack.probe {
-            PackProbe::Shared(ei) => Some((pi, ei)),
-            _ => None,
-        })
+        .filter_map(|(pi, pack)| Some((pi, shared(&pack.probe)?)))
         .collect();
-    let log_replay = loop_heavy;
-    let (stepped_packs, stepped_at_packs): (Vec<(usize, usize)>, Vec<(usize, usize)>) =
-        if log_replay {
-            (Vec::new(), Vec::new())
-        } else {
-            (shared_packs.clone(), shared_at_packs.clone())
-        };
-    let mut slot_logs: Vec<(usize, Vec<u32>)> = Vec::new();
-    if log_replay {
-        for &(_, ei) in shared_packs.iter().chain(&shared_at_packs) {
-            if !slot_logs.iter().any(|(e, _)| *e == ei) {
-                slot_logs.push((ei, Vec::with_capacity(compiled.cond_sites().len())));
+    // Event-major in blocks: each source steps once per event — one
+    // probe and one history shift, amortized over every lane it
+    // serves — recording the block's slots and pre-shift histories;
+    // then every grouped lane runs its level-two kernel over the block
+    // and every pack riding a source replays the block's slot records
+    // in (slot, outcome) runs. Lanes never interact, so any event-vs-
+    // lane loop order is observably identical. A gang with no grouped
+    // lane (everything packed, or scored per site) skips the loop.
+    let events = compiled.len();
+    if !grouped.is_empty() {
+        let sites = compiled.cond_sites();
+        let outcomes = compiled.outcomes();
+        let mut taken_buf = vec![false; BLOCK.min(events)];
+        for start in (0..events).step_by(BLOCK) {
+            let end = (start + BLOCK).min(events);
+            let taken = &mut taken_buf[..end - start];
+            for (k, t) in taken.iter_mut().enumerate() {
+                *t = outcomes.get(start + k);
             }
-        }
-    }
-    let mut probes = vec![
-        tlat_core::Probe {
-            slot: 0,
-            outcome: tlat_core::ProbeOutcome::Hit,
-        };
-        engines.len()
-    ];
-    if scalar_consumers {
-        for (site, taken) in compiled.events() {
-            for (engine, probe) in engines.iter_mut().zip(probes.iter_mut()) {
-                *probe = engine.step(site);
+            let taken = &*taken;
+            let sites = &sites[start..end];
+            for source in &mut address {
+                source.fill_block(sites, taken);
             }
-            for (ei, p, stat) in &mut at_slots {
-                stat.record(p.predict_update_slot(probes[*ei], taken) == taken);
+            if let Some(global) = &mut global {
+                global.fill_block(taken);
             }
-            for (ei, p, stat) in &mut ls_slots {
-                stat.record(p.predict_update_slot(probes[*ei], taken) == taken);
+            let block = Block {
+                sites,
+                taken,
+                address: &address,
+                global: global.as_ref(),
+            };
+            for lane in &mut grouped {
+                lane.walk(&block);
             }
-            for (ei, p, stat) in &mut st_slots {
-                stat.record(p.predict_update_slot(probes[*ei], taken) == taken);
+            for &(pi, si) in &shared_packs {
+                replay_block(&mut packs[pi].planes, &address[si], taken);
             }
-            for (p, stat) in &mut at_lanes {
-                stat.record(p.predict_update_site(site, taken) == taken);
-            }
-            for (p, stat) in &mut ls_lanes {
-                stat.record(p.predict_update_site(site, taken) == taken);
-            }
-            for (p, stat) in &mut st_lanes {
-                stat.record(p.predict_update_site(site, taken) == taken);
-            }
-            for (p, stat) in &mut var_lanes {
-                stat.record(p.predict_update_site(site, taken) == taken);
-            }
-            for (p, stat) in &mut gs_lanes {
-                stat.record(p.predict_update_site(site, taken) == taken);
-            }
-            for (p, stat) in &mut tour_lanes {
-                stat.record(p.predict_update_site(site, taken) == taken);
-            }
-            // Churny stream: packs advance every lane in one
-            // branchless plane step off the probe the slot-path lanes
-            // above already consumed.
-            for &(pi, ei) in &stepped_packs {
-                let probe = probes[ei];
-                let pack = &mut packs[pi];
-                if probe.outcome == ProbeOutcome::Filled {
-                    pack.planes.fill_slot(probe.slot as usize);
-                }
-                pack.planes.step(probe.slot as usize, taken);
-            }
-            for &(pi, ei) in &stepped_at_packs {
-                let probe = probes[ei];
-                let pack = &mut at_packs[pi];
-                if probe.outcome == ProbeOutcome::Filled {
-                    pack.planes.fill_slot(probe.slot as usize);
-                }
-                pack.planes.step(probe.slot as usize, taken);
-            }
-            // Loop-heavy stream: log the probe instead, for the
-            // run-chunked replay below — slot in the low half, fill
-            // flag above it.
-            for (ei, log) in &mut slot_logs {
-                let probe = probes[*ei];
-                log.push(
-                    u32::from(probe.slot)
-                        | u32::from(probe.outcome == ProbeOutcome::Filled) << 16,
-                );
+            for &(pi, si) in &shared_at_packs {
+                replay_block(&mut at_packs[pi].planes, &address[si], taken);
             }
         }
     }
     // Every other pack replays the stream in (site, outcome) runs,
-    // off to the side of the per-event loop ([`replay_site_runs`]).
+    // off to the side of the block loop ([`replay_site_runs`]).
     for pack in &mut packs {
-        if matches!(pack.probe, PackProbe::Shared(_)) {
-            continue;
+        if shared(&pack.probe).is_none() {
+            replay_site_runs(&mut pack.planes, &mut pack.probe, compiled);
         }
-        replay_site_runs(&mut pack.planes, &mut pack.probe, compiled);
     }
     for pack in &mut at_packs {
-        if matches!(pack.probe, PackProbe::Shared(_)) {
-            continue;
-        }
-        replay_site_runs(&mut pack.planes, &mut pack.probe, compiled);
-    }
-    // On a loop-heavy stream, shared packs replay their engine's slot
-    // log the same way, with the probing already paid
-    // ([`replay_slot_log`]).
-    if log_replay {
-        let logged = |ei: usize| -> &[u32] {
-            &slot_logs
-                .iter()
-                .find(|(e, _)| *e == ei)
-                .expect("every shared pack's engine is logged")
-                .1
-        };
-        for &(pi, ei) in &shared_packs {
-            replay_slot_log(&mut packs[pi].planes, logged(ei), compiled);
-        }
-        for &(pi, ei) in &shared_at_packs {
-            replay_slot_log(&mut at_packs[pi].planes, logged(ei), compiled);
+        if shared(&pack.probe).is_none() {
+            replay_site_runs(&mut pack.planes, &mut pack.probe, compiled);
         }
     }
-    // Prediction and table state evolved exactly as the scalar walk's:
-    // a packed lane's own table payload goes stale (the pack owns it
-    // for the walk, as on the slot path) and only predicted/correct
-    // and the adopted HrtStats are observable — fold them back now.
+    // Prediction and table state evolved exactly as each lane's own
+    // walk would: a packed or grouped lane's own table payload goes
+    // stale (the walk owns it) and only predicted/correct and the
+    // adopted HrtStats are observable — fold them back now.
+    let probe_stats = |probe: &PackProbe| match probe {
+        PackProbe::Shared(si) => address[*si].stats(),
+        PackProbe::Private(engine) => engine.stats(),
+        PackProbe::Ideal { stats, .. } | PackProbe::Hashed { stats, .. } => *stats,
+    };
     for pack in &mut packs {
         let predicted = pack.planes.predicted();
         let correct = pack.planes.correct_counts();
-        let probe_stats = match &pack.probe {
-            PackProbe::Shared(ei) => engines[*ei].stats(),
-            PackProbe::Private(engine) => engine.stats(),
-            PackProbe::Ideal { stats, .. } | PackProbe::Hashed { stats, .. } => *stats,
-        };
+        let probe_stats = probe_stats(&pack.probe);
         for (lane, (p, stat)) in pack.lanes.iter_mut().enumerate() {
             stat.predicted += predicted;
             stat.correct += correct[lane];
@@ -966,29 +916,25 @@ pub fn gang_simulate_compiled(
     for pack in &mut at_packs {
         let predicted = pack.planes.predicted();
         let correct = pack.planes.correct_counts();
-        let probe_stats = match &pack.probe {
-            PackProbe::Shared(ei) => engines[*ei].stats(),
-            PackProbe::Private(engine) => engine.stats(),
-            PackProbe::Ideal { stats, .. } | PackProbe::Hashed { stats, .. } => *stats,
-        };
+        let probe_stats = probe_stats(&pack.probe);
         for (lane, (p, stat)) in pack.lanes.iter_mut().enumerate() {
             stat.predicted += predicted;
             stat.correct += correct[lane];
             p.adopt_probe_stats(probe_stats);
         }
     }
-    // Slot-path lanes skipped their own per-event access accounting;
-    // the shared engine counted the group's (identical) statistics
-    // once — fold them back so every lane reports what per-lane
-    // probing would have.
-    for (ei, p, _) in &mut at_slots {
-        p.adopt_probe_stats(engines[*ei].stats());
+    for lane in grouped {
+        lane.finish(events as u64);
     }
-    for (ei, p, _) in &mut ls_slots {
-        p.adopt_probe_stats(engines[*ei].stats());
-    }
-    for (ei, p, _) in &mut st_slots {
-        p.adopt_probe_stats(engines[*ei].stats());
+    for (si, lane) in adopters {
+        let probe_stats = address[si].stats();
+        match lane {
+            GangLane::TwoLevel(p) => p.adopt_probe_stats(probe_stats),
+            GangLane::LeeSmith(p) => p.adopt_probe_stats(probe_stats),
+            GangLane::StaticTraining(p) => p.adopt_probe_stats(probe_stats),
+            GangLane::Variant(p) => p.adopt_probe_stats(probe_stats),
+            _ => unreachable!("only HRT-owning lanes adopt"),
+        }
     }
     // Profile bits are frozen and fixed rules never train, so their
     // scores over the stream are per-site weighted sums — identical to
@@ -1314,7 +1260,7 @@ mod tests {
 
     #[test]
     fn fixed_rule_gangs_score_per_site() {
-        // No lane needs the per-event loop: the fixed rules and the
+        // No lane needs the block loop: the fixed rules and the
         // profile lane are scored from the per-site counts alone.
         let trace = SyntheticStream::mixed(0xd1, 16).generate(2_000);
         let configs = vec![
@@ -1532,22 +1478,22 @@ mod tests {
         assert!(outcomes[2].as_ref().unwrap().is_ok());
     }
 
-    /// Asserts the stream is churny (below the log-replay gate), so a
-    /// test pins the in-loop stepped-pack path.
+    /// Asserts the stream is churny (below the loop-heavy gate), so a
+    /// test pins the planner's churny routes.
     fn assert_churny(trace: &Trace) {
         let c = CompiledTrace::compile(trace);
         assert!(
-            c.len() < LOG_REPLAY_MIN_RUN * c.site_run_count(),
-            "trace drifted loop-heavy; this test pins the stepped-pack path"
+            c.len() < LOOP_HEAVY_MIN_RUN * c.site_run_count(),
+            "trace drifted loop-heavy; this test pins the churny routes"
         );
     }
 
-    /// Asserts the stream trips the log-replay gate.
+    /// Asserts the stream trips the loop-heavy gate.
     fn assert_loop_heavy(trace: &Trace) {
         let c = CompiledTrace::compile(trace);
         assert!(
-            c.len() >= LOG_REPLAY_MIN_RUN * c.site_run_count(),
-            "trace must be loop-heavy enough to trip the log-replay gate (mean run {:.2})",
+            c.len() >= LOOP_HEAVY_MIN_RUN * c.site_run_count(),
+            "trace must be loop-heavy enough to trip the gate (mean run {:.2})",
             c.len() as f64 / c.site_run_count() as f64
         );
     }
@@ -1557,13 +1503,13 @@ mod tests {
         // Packs form wherever ≥2 LS lanes share an exact geometry:
         // five automata on the paper AHRT, pairs on ideal / hashed /
         // a small eviction-heavy associative table, plus a singleton
-        // LS straggler and a lone AT lane — both scalar on this
-        // churny stream (an AT lane with no mask-group partner packs
-        // only on loop-heavy streams) — all bit-identical to the
-        // per-config engine, table statistics included. The synthetic
-        // stream visits sites at random, so same-site runs barely form
-        // and shared packs must take the in-loop plane-stepping
-        // strategy here.
+        // LS straggler and a lone AT lane — both grouped scalar lanes
+        // on this churny stream (an AT lane with no mask-group partner
+        // packs only on loop-heavy streams) — all bit-identical to the
+        // per-config engine, table statistics included. The AT lane's
+        // source on the paper AHRT carries the five-automaton LS pack
+        // too, whose slot records replay in runs of about one event
+        // here: the synthetic stream visits sites at random.
         let trace = SyntheticStream::mixed(0xb175, 80).generate(6_000);
         assert_churny(&trace);
         let small = HrtConfig::Associative {
@@ -1611,14 +1557,16 @@ mod tests {
     }
 
     #[test]
-    fn mixed_gangs_on_loop_heavy_streams_replay_the_slot_log() {
-        // With scalar consumers present (an AT lane) the shared packs
-        // ride the gang's probe engines — and on a loop-heavy stream
-        // they must take the log-replay strategy: record each probe's
-        // slot during the event loop, then apply whole same-slot
-        // same-outcome runs in word-sized chunks afterwards. The tiny
-        // 2-way table forces evictions and refills mid-stream, so the
-        // fill flag rides the log too. Still bit-identical.
+    fn mixed_gangs_on_loop_heavy_streams_replay_source_blocks() {
+        // With grouped lanes on their organizations (ST lanes on the
+        // paper AHRT and the tiny 2-way table) the associative packs
+        // ride those lanes' level-one sources and replay each block's
+        // slot records in same-slot same-outcome runs, which cross
+        // block boundaries on this loop-heavy stream. The tiny table
+        // forces evictions and refills mid-stream, so fills open runs
+        // too. The AT lane packs (every packable lane does on a
+        // loop-heavy stream) and rides the same source. Still
+        // bit-identical.
         let trace = loop_heavy_trace(6_000);
         assert_loop_heavy(&trace);
         let small = HrtConfig::Associative {
@@ -1627,6 +1575,8 @@ mod tests {
         };
         let configs = vec![
             SchemeConfig::at(HrtConfig::ahrt(512), 12, AutomatonKind::A2),
+            SchemeConfig::st(HrtConfig::ahrt(512), 10, TrainingData::Same),
+            SchemeConfig::st(small, 8, TrainingData::Same),
             SchemeConfig::ls(HrtConfig::ahrt(512), AutomatonKind::LastTime),
             SchemeConfig::ls(HrtConfig::ahrt(512), AutomatonKind::A1),
             SchemeConfig::ls(HrtConfig::ahrt(512), AutomatonKind::A2),
@@ -1641,8 +1591,8 @@ mod tests {
 
     #[test]
     fn pack_only_gangs_take_the_chunked_run_walk() {
-        // With no AT/ST lane and no unpacked LS lane, the per-event
-        // loop has no consumers: every pack owns its probe (private
+        // With no AT/ST lane and no unpacked LS lane there is no
+        // level-one source: every pack owns its probe (private
         // engine for associative geometries) and replays the stream in
         // (site, outcome) runs, word-chunked against the outcome
         // bitvec — still bit-identical to the per-config engine.
@@ -1716,14 +1666,12 @@ mod tests {
         // register), §3.2 caching vs pure two-lookup, and init
         // polarity; ideal / hashed / eviction-heavy associative
         // same-mask pairs pack too. A reinit-on-replace lane is
-        // unpackable and must take the scalar path (becoming the
-        // gang's scalar consumer), a k=8 lane on the packing AHRT and
-        // an ahrt(256) lane are mask-singletons pinned scalar by the
-        // churny gate, and an LS pack rides alongside — all
-        // bit-identical to the per-config engine. Random site visits:
-        // shared packs must take the in-loop stepping strategy here
-        // (the reinit lane is the scalar consumer keeping the event
-        // loop alive).
+        // unpackable and rides a source of its own (replacements
+        // re-initialize there), a k=8 lane on the packing AHRT and an
+        // ahrt(256) lane are mask-singletons kept scalar by the churny
+        // gate, and an LS pack rides alongside — all bit-identical to
+        // the per-config engine. The k=8 lane's source on the paper
+        // AHRT also carries that organization's AT and LS packs.
         let trace = SyntheticStream::mixed(0xa7b1, 80).generate(6_000);
         assert_churny(&trace);
         let small = HrtConfig::Associative {
@@ -1752,22 +1700,20 @@ mod tests {
     }
 
     #[test]
-    fn at_packs_replay_ahrt_evictions_from_the_slot_log_byte_for_byte() {
+    fn at_packs_replay_ahrt_evictions_from_source_blocks_byte_for_byte() {
         // The eviction-interplay pin: a tiny 2-way AHRT under a
         // loop-heavy stream churns through fills, hits, and
         // replacements, and the AT pack never sees tags — only the
-        // shared engine's slot decisions via the log. A replaced slot
-        // must inherit the victim's plane state (non-reinit lanes
-        // inherit the victim's entry in the scalar walk) and a filled
-        // slot must re-read its cached plane from the *evolved*
-        // pattern tables, or predictions drift. The ST lane keeps a
-        // scalar consumer in the gang, so the packs ride the shared
-        // engine and — on this stream shape — the log-replay path.
-        // The stream is loop-heavy, so AT singletons pack too: the
-        // lone ahrt(256) lane is alone on its geometry and must fall
-        // back to a private probe (no engine to share despite the
-        // scalar consumer), and the lone ideal and hashed singletons
-        // take their flavor's run replay.
+        // slot records of the ST lane's level-one source on that
+        // table. A replaced slot must inherit the victim's plane state
+        // (non-reinit lanes inherit the victim's entry in the scalar
+        // walk) and a filled slot must re-read its cached plane from
+        // the *evolved* pattern tables, or predictions drift. The
+        // stream is loop-heavy, so AT singletons pack too: the paper
+        // AHRT pair and the lone ahrt(256) lane have no grouped lane
+        // on their organization and replay through private probes,
+        // and the lone ideal and hashed singletons take their
+        // flavor's run replay.
         let trace = loop_heavy_trace(6_000);
         assert_loop_heavy(&trace);
         let small = HrtConfig::Associative {
@@ -1775,7 +1721,7 @@ mod tests {
             ways: 2,
         };
         let configs = vec![
-            SchemeConfig::st(HrtConfig::Ideal, 12, TrainingData::Same),
+            SchemeConfig::st(small, 12, TrainingData::Same),
             SchemeConfig::at(small, 8, AutomatonKind::A2),
             SchemeConfig::at(small, 6, AutomatonKind::A3),
             at_full(small, 4, AutomatonKind::LastTime, false, false, false),
@@ -1792,8 +1738,8 @@ mod tests {
 
     #[test]
     fn pack_only_at_gangs_take_the_chunked_run_walk() {
-        // Every conditional consumer packs: no scalar lane remains, so
-        // the per-event loop never runs and the associative AT packs
+        // Every conditional consumer packs: no grouped lane remains, so
+        // the block loop never runs and the associative AT packs
         // own private probe engines, replaying the stream in (site,
         // outcome) runs — including evictions on the tiny 2-way table.
         // Run on both stream shapes, since the private path chunks

@@ -69,7 +69,7 @@ grep -q '"bench":"serve/warm_sweep"' BENCH_serve.json || {
 gang_inner_out=$(cargo bench -q --offline -p tlat-bench --bench gang_inner -- --test)
 for line in inner_solo_engine inner_compiled_walk inner_bitsliced_solo \
     inner_bitsliced_walk inner_at_pack_solo inner_at_pack_walk \
-    inner_taxonomy_solo inner_taxonomy_walk; do
+    inner_taxonomy_solo inner_taxonomy_walk inner_group_solo inner_group_churny; do
     grep -q "^BENCHJSON .*$line" <<<"$gang_inner_out" || {
         echo "error: gang_inner bench emitted no $line BENCHJSON line" >&2
         exit 1
